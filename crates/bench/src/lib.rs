@@ -14,11 +14,9 @@
 //!   the Douban networks at paper scale, Orkut/Twitter scaled down per
 //!   DESIGN.md) with heavier sampling.
 
-pub mod benchjson;
 pub mod experiments;
 pub mod harness;
 pub mod report;
 
-pub use benchjson::BenchStat;
 pub use harness::{network, Scale};
 pub use report::ExperimentResult;

@@ -10,7 +10,7 @@ use cwelmax_rrset::ImmParams;
 use cwelmax_server::{CampaignServer, ServerHandle};
 use cwelmax_store::FromStore;
 use cwelmax_utility::configs::{self, TwoItemConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ fn typed_round_trips_match_in_process_engine_on_index_and_store_backends() {
         ),
         (
             "store",
-            EngineBuilder::from_store(&dir)
+            EngineBuilder::from_journaled_store(&dir)
                 .graph(graph.clone())
                 .build()
                 .unwrap(),
@@ -218,26 +218,42 @@ fn client_falls_back_to_v1_when_hello_is_rejected() {
 /// The accept-time `--max-conns` busy refusal arrives before the server
 /// reads anything — it must surface as a server error from `connect`,
 /// not masquerade as a v1 fallback on a socket that is already dead.
+///
+/// The mock refuses exactly like CampaignServer's `refuse_busy`: write
+/// the line, half-close, drain the client's unread `hello`. Closing with
+/// the `hello` unread instead makes the kernel answer with RST, which
+/// loses the refusal about once in 250 connects on an idle machine (far
+/// more often under a full test run) — hence the loop, long enough to
+/// catch a refusal path that regresses to the plain close.
 #[test]
 fn busy_refusal_at_connect_surfaces_as_a_server_error_not_v1_fallback() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    const CONNECTS: usize = 1000;
     let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut s = &stream;
-        s.write_all(
-            b"{\"error\":\"server busy: connection limit 2 reached, retry later\",\"ok\":false}\n",
-        )
-        .unwrap();
-        s.flush().unwrap();
-        // close immediately, exactly like CampaignServer's refuse_busy
-    });
-    match CwelmaxClient::connect(addr.to_string()) {
-        Err(ClientError::Server(e)) => {
-            assert!(e.message.contains("server busy"), "{e}");
+        for _ in 0..CONNECTS {
+            let (stream, _) = listener.accept().unwrap();
+            let mut s = &stream;
+            s.write_all(
+                b"{\"error\":\"server busy: connection limit 2 reached, retry later\",\"ok\":false}\n",
+            )
+            .unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_millis(100)))
+                .unwrap();
+            let mut sink = [0u8; 512];
+            while matches!(s.read(&mut sink), Ok(n) if n > 0) {}
         }
-        Ok(c) => panic!("connect succeeded at protocol v{}", c.protocol()),
-        Err(other) => panic!("expected Server error, got {other:?}"),
+    });
+    for attempt in 0..CONNECTS {
+        match CwelmaxClient::connect(addr.to_string()) {
+            Err(ClientError::Server(e)) => {
+                assert!(e.message.contains("server busy"), "{e}");
+            }
+            Ok(c) => panic!("connect succeeded at protocol v{}", c.protocol()),
+            Err(other) => panic!("attempt {attempt}: expected Server error, got {other:?}"),
+        }
     }
     server.join().unwrap();
 }

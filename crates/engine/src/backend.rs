@@ -5,15 +5,17 @@
 //! queries and refuse foreign graphs), the ordered greedy pool at the
 //! budget cap (whose prefixes serve every fresh campaign), and a way to
 //! derive SP-conditioned views for follow-up campaigns. This trait
-//! captures that surface so the engine can serve from more than one
-//! physical representation:
+//! captures that surface so the engine can serve from exactly two
+//! physical representations:
 //!
-//! * the monolithic in-memory [`RrIndex`] (this module's blanket impl) —
-//!   everything resident, selections computed on demand;
-//! * `cwelmax-store`'s `ShardedIndex` — a manifest opened eagerly plus
-//!   N shard files loaded lazily on first touch, where the budget-cap
-//!   pool is *persisted in the manifest* so fresh campaigns are answered
-//!   without loading a single shard.
+//! * the monolithic in-memory [`RrIndex`] (this module's impl) —
+//!   everything resident, selections computed on demand; the reference
+//!   oracle every bit-identity test compares against;
+//! * `cwelmax-store`'s `JournaledStore` — a manifest opened eagerly, N
+//!   shard files loaded lazily on first touch, and an in-memory overlay
+//!   of journaled θ top-ups (empty for a plain store). The budget-cap
+//!   pool is *persisted in the manifest*, so fresh campaigns against an
+//!   un-topped-up store are answered without loading a single shard.
 //!
 //! [`StorageStats`] makes the physical shape observable: the server's
 //! `{"type": "stats"}` response reports how many shards exist, how many
@@ -90,21 +92,21 @@ pub trait IndexBackend: Send + Sync {
     fn pool_at_cap(&self) -> Result<Vec<NodeId>, EngineError>;
 
     /// Derive the SP-conditioned view for `sp_nodes` (unsorted, possibly
-    /// with duplicates — implementations canonicalize). The engine caches
-    /// the result; implementations only build it.
-    fn derive_conditioned(&self, sp_nodes: &[NodeId]) -> Result<ConditionedView, EngineError>;
-
-    /// [`IndexBackend::derive_conditioned`] with an optional trace
-    /// scope to hang storage-side spans under (shard faults, per-shard
-    /// filtering). The default ignores the scope — an in-memory index
-    /// has no storage story worth a span — so only backends with real
-    /// I/O (the sharded store) need to override.
+    /// with duplicates — implementations canonicalize), hanging any
+    /// storage-side spans (shard faults, per-shard filtering) under
+    /// `scope`. The engine caches the result; implementations only build
+    /// it. This is the required method, so a backend with real I/O
+    /// cannot lose its spans by forgetting an override; an in-memory
+    /// index, which has no storage story worth a span, ignores the scope.
     fn derive_conditioned_traced(
         &self,
         sp_nodes: &[NodeId],
-        _scope: Option<TraceScope<'_>>,
-    ) -> Result<ConditionedView, EngineError> {
-        self.derive_conditioned(sp_nodes)
+        scope: Option<TraceScope<'_>>,
+    ) -> Result<ConditionedView, EngineError>;
+
+    /// [`IndexBackend::derive_conditioned_traced`] outside any trace.
+    fn derive_conditioned(&self, sp_nodes: &[NodeId]) -> Result<ConditionedView, EngineError> {
+        self.derive_conditioned_traced(sp_nodes, None)
     }
 
     /// The backend's physical storage shape, for observability.
@@ -128,7 +130,11 @@ impl IndexBackend for RrIndex {
         Ok(self.greedy_select(self.meta().budget_cap as usize).seeds)
     }
 
-    fn derive_conditioned(&self, sp_nodes: &[NodeId]) -> Result<ConditionedView, EngineError> {
+    fn derive_conditioned_traced(
+        &self,
+        sp_nodes: &[NodeId],
+        _scope: Option<TraceScope<'_>>,
+    ) -> Result<ConditionedView, EngineError> {
         ConditionedView::derive(self, sp_nodes)
     }
 

@@ -1,9 +1,7 @@
 //! [`EngineBuilder`] — the one way to assemble a [`CampaignEngine`].
 //!
-//! Four PRs grew five ad-hoc constructors (`new`, `from_snapshot`,
-//! `with_backend`, `with_cache_capacity`, `with_conditioned_capacity`),
-//! each a slightly different mix of source, caps, and pre-warming. The
-//! builder collapses them into one declarative surface:
+//! One declarative surface for source, cache capacities, and
+//! pre-warming:
 //!
 //! ```no_run
 //! use cwelmax_engine::EngineBuilder;
@@ -23,8 +21,9 @@
 //! (an in-memory [`RrIndex`]), [`from_backend`] (any
 //! [`IndexBackend`]), and [`from_backend_fn`] (a deferred backend
 //! opener — `cwelmax-store`'s `FromStore` extension trait uses it to
-//! provide `EngineBuilder::from_store(dir)` without a dependency cycle,
-//! so store-open errors surface at [`build`] like every other source's).
+//! provide `EngineBuilder::from_journaled_store(dir)` without a
+//! dependency cycle, so store-open errors surface at [`build`] like
+//! every other source's).
 //!
 //! Everything else is optional: cache capacities default to the engine's
 //! documented defaults, and [`prewarm_sp`] derives SP-conditioned views
@@ -53,9 +52,7 @@ enum Source {
     /// A monolithic snapshot file; persisted conditioned views (format
     /// v2) are pre-warmed on build.
     Snapshot(PathBuf),
-    /// An in-memory monolithic index.
-    Index(Arc<RrIndex>),
-    /// A ready backend (monolithic or sharded).
+    /// A ready backend (an in-memory index or an opened store).
     Backend(Arc<dyn IndexBackend>),
     /// A deferred backend opener, run at build time with the stack's
     /// metrics registry so the backend records into the same registry
@@ -100,11 +97,11 @@ impl EngineBuilder {
 
     /// Serve from an in-memory monolithic [`RrIndex`].
     pub fn from_index(index: Arc<RrIndex>) -> EngineBuilder {
-        EngineBuilder::with_source(Source::Index(index))
+        EngineBuilder::with_source(Source::Backend(index))
     }
 
     /// Serve from any ready [`IndexBackend`] (a monolithic index or a
-    /// sharded store already opened).
+    /// store already opened).
     pub fn from_backend(backend: Arc<dyn IndexBackend>) -> EngineBuilder {
         EngineBuilder::with_source(Source::Backend(backend))
     }
@@ -112,12 +109,13 @@ impl EngineBuilder {
     /// Serve from a backend that is *opened at build time* — the hook
     /// downstream crates use to extend the builder with sources this
     /// crate cannot name (`cwelmax-store`'s `FromStore` trait builds
-    /// `EngineBuilder::from_store(dir)` on it). Open errors surface from
-    /// [`EngineBuilder::build`], uniformly with the snapshot source. The
-    /// opener receives the stack's [`MetricsRegistry`] (the one passed
-    /// to [`EngineBuilder::metrics`], or the fresh default) so the
-    /// backend's fault counters land in the same registry the engine
-    /// and server report from.
+    /// `EngineBuilder::from_journaled_store(dir)` on it). Open errors
+    /// surface from [`EngineBuilder::build`], uniformly with the
+    /// snapshot source. The opener receives the stack's
+    /// [`MetricsRegistry`] (the one passed to
+    /// [`EngineBuilder::metrics`], or the fresh default) so the backend's
+    /// fault counters land in the same registry the engine and server
+    /// report from.
     pub fn from_backend_fn(
         open: impl FnOnce(&Arc<MetricsRegistry>) -> Result<Arc<dyn IndexBackend>, EngineError>
             + Send
@@ -182,7 +180,6 @@ impl EngineBuilder {
                 let (index, views) = snapshot::load_full(path)?;
                 (Arc::new(index), views)
             }
-            Source::Index(index) => (index, Vec::new()),
             Source::Backend(backend) => (backend, Vec::new()),
             Source::Deferred(open) => (open(&metrics)?, Vec::new()),
         };

@@ -23,7 +23,7 @@
 use crate::backend::{IndexBackend, StorageStats};
 use crate::conditioned::{ConditionedCache, ConditionedView};
 use crate::error::EngineError;
-use crate::index::{graph_fingerprint, RrIndex};
+use crate::index::graph_fingerprint;
 use crate::lru::LruCache;
 use crate::query::{CampaignAnswer, CampaignQuery, QueryAlgorithm};
 use cwelmax_core::{MaxGrd, Problem, SeqGrd};
@@ -33,7 +33,6 @@ use cwelmax_obs::{Counter, Histogram, MetricsRegistry, TraceScope};
 use serde::{Serialize, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Point-in-time counters describing what the engine has done.
@@ -71,7 +70,7 @@ pub struct EngineStats {
 }
 
 /// Multi-campaign query engine over a shared graph + prebuilt index
-/// backend (a monolithic [`RrIndex`] or a lazy sharded store).
+/// backend (a monolithic [`crate::RrIndex`] or a lazy sharded store).
 pub struct CampaignEngine {
     graph: Arc<Graph>,
     backend: Arc<dyn IndexBackend>,
@@ -155,53 +154,6 @@ impl CampaignEngine {
             conditioned_derive_ns: metrics.histogram("engine.conditioned_derive_ns"),
             metrics,
         })
-    }
-
-    /// Bind a graph and a monolithic in-memory index.
-    #[deprecated(note = "use `EngineBuilder::from_index(index).graph(graph).build()`")]
-    pub fn new(graph: Arc<Graph>, index: Arc<RrIndex>) -> Result<CampaignEngine, EngineError> {
-        crate::EngineBuilder::from_index(index).graph(graph).build()
-    }
-
-    /// Bind a graph and any [`IndexBackend`].
-    #[deprecated(note = "use `EngineBuilder::from_backend(backend).graph(graph).build()`")]
-    pub fn with_backend(
-        graph: Arc<Graph>,
-        backend: Arc<dyn IndexBackend>,
-    ) -> Result<CampaignEngine, EngineError> {
-        crate::EngineBuilder::from_backend(backend)
-            .graph(graph)
-            .build()
-    }
-
-    /// Resize the welfare cache (entries; 0 disables welfare caching
-    /// entirely — every evaluation recomputes). Existing cached
-    /// evaluations are dropped — intended for construction time.
-    #[deprecated(note = "use `EngineBuilder::cache_capacity(n)` at construction")]
-    pub fn with_cache_capacity(self, cap: usize) -> CampaignEngine {
-        *crate::lock_recover(&self.cache) = LruCache::new(cap);
-        self
-    }
-
-    /// Resize the conditioned-view cache (entries; 0 disables view
-    /// caching — every follow-up re-derives). Existing views are
-    /// dropped — intended for construction time.
-    #[deprecated(note = "use `EngineBuilder::conditioned_capacity(n)` at construction")]
-    pub fn with_conditioned_capacity(mut self, cap: usize) -> CampaignEngine {
-        self.conditioned = ConditionedCache::new(cap);
-        self
-    }
-
-    /// Load the index from a snapshot file and bind it, pre-warming any
-    /// persisted conditioned views.
-    #[deprecated(note = "use `EngineBuilder::from_snapshot(path).graph(graph).build()`")]
-    pub fn from_snapshot(
-        graph: Arc<Graph>,
-        path: impl AsRef<Path>,
-    ) -> Result<CampaignEngine, EngineError> {
-        crate::EngineBuilder::from_snapshot(path.as_ref())
-            .graph(graph)
-            .build()
     }
 
     /// Derive (and cache) the SP-conditioned view for `sp_nodes` ahead
@@ -604,7 +556,7 @@ fn hash_value(v: &Value, h: &mut DefaultHasher) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineBuilder;
+    use crate::{EngineBuilder, RrIndex};
     use cwelmax_graph::{generators, ProbabilityModel as PM};
     use cwelmax_rrset::ImmParams;
     use cwelmax_utility::configs::{self, TwoItemConfig};
@@ -646,37 +598,6 @@ mod tests {
             Err(EngineError::GraphMismatch { .. }) => {}
             other => panic!("expected GraphMismatch, got {:?}", other.err()),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_assemble_working_engines() {
-        // the pre-builder surface is frozen as thin shims — existing
-        // callers keep compiling and get builder-identical engines
-        let graph = Arc::new(generators::erdos_renyi(60, 240, 3, PM::WeightedCascade));
-        let params = ImmParams {
-            eps: 0.5,
-            ell: 1.0,
-            seed: 7,
-            threads: 2,
-            max_rr_sets: 200_000,
-        };
-        let index = Arc::new(RrIndex::build(&graph, 4, &params));
-        let shim = CampaignEngine::new(graph.clone(), index.clone())
-            .unwrap()
-            .with_cache_capacity(16)
-            .with_conditioned_capacity(2);
-        let built = EngineBuilder::from_index(index)
-            .graph(graph)
-            .cache_capacity(16)
-            .conditioned_capacity(2)
-            .build()
-            .unwrap();
-        let q = query(QueryAlgorithm::SeqGrdNm, TwoItemConfig::C1, 2);
-        let a = shim.query(&q).unwrap();
-        let b = built.query(&q).unwrap();
-        assert_eq!(a.allocation, b.allocation);
-        assert_eq!(a.welfare, b.welfare);
     }
 
     #[test]

@@ -28,14 +28,13 @@
 //!   welfare-evaluation cache and parallel batch execution;
 //! * [`EngineBuilder`] — the **one** way to assemble an engine: pick a
 //!   source (`from_snapshot` / `from_index` / `from_backend`, or
-//!   `cwelmax-store`'s `from_store` extension), set cache capacities,
-//!   pre-warm SP views, `build()`. The old ad-hoc constructors survive
-//!   only as deprecated shims;
+//!   `cwelmax-store`'s `from_journaled_store` extension), set cache
+//!   capacities, pre-warm SP views, `build()`;
 //! * [`backend`] — the [`IndexBackend`] trait the engine serves through:
-//!   a monolithic [`RrIndex`] or `cwelmax-store`'s lazily loaded sharded
-//!   store plug in interchangeably, and [`StorageStats`] makes the
-//!   physical shape (shards total/loaded, bytes on disk) observable in
-//!   [`EngineStats`] and over the wire.
+//!   a monolithic [`RrIndex`] or `cwelmax-store`'s lazily loaded,
+//!   journaled store plug in interchangeably, and [`StorageStats`] makes
+//!   the physical shape (shards total/loaded, bytes on disk) observable
+//!   in [`EngineStats`] and over the wire.
 //!
 //! ```
 //! use cwelmax_engine::{CampaignQuery, EngineBuilder, QueryAlgorithm, RrIndex};

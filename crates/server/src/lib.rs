@@ -56,7 +56,7 @@ use cwelmax_obs::{
     TraceBuffer, TraceCtx, TraceIdGen,
 };
 use serde::{Map, Serialize, Value};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -530,11 +530,25 @@ fn refuse_busy(shared: &Shared, stream: TcpStream) {
     }
     let mut text = wire::to_line(&body);
     text.push('\n');
-    let mut writer = BufWriter::new(&stream);
-    let _ = writer.write_all(text.as_bytes());
-    let _ = writer.flush();
-    drop(writer);
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = (&stream).write_all(text.as_bytes());
+    // Closing with the peer's `hello` still unread makes the kernel answer
+    // with RST, which can discard the refusal before the peer reads it.
+    // Half-close instead and drain until the peer hangs up — bounded, so a
+    // silent peer holds the accept loop no longer than the back-off the
+    // refusal itself asks for.
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_millis(BUSY_RETRY_AFTER_MS);
+    let mut sink = [0u8; 512];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match (&stream).read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => break,
+        }
+    }
 }
 
 /// One connection: read request lines, write response lines, until EOF,

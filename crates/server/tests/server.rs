@@ -6,6 +6,7 @@ use cwelmax_engine::{CampaignEngine, EngineBuilder, RrIndex};
 use cwelmax_graph::{generators, ProbabilityModel};
 use cwelmax_rrset::ImmParams;
 use cwelmax_server::{CampaignServer, ServerHandle};
+use cwelmax_store::FromStore;
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -458,9 +459,8 @@ fn store_backed_server_loads_shards_lazily_and_reports_it_in_stats() {
     let dir = std::env::temp_dir().join(format!("cwelmax-server-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     cwelmax_store::write_store(&index, &dir, 6).unwrap();
-    let store = Arc::new(cwelmax_store::ShardedIndex::open(&dir).unwrap());
     let eng = Arc::new(
-        EngineBuilder::from_backend(store)
+        EngineBuilder::from_journaled_store(&dir)
             .graph(graph.clone())
             .build()
             .unwrap(),
@@ -1195,9 +1195,18 @@ fn sampled_tracing_mints_ids_and_stats_report_windowed_percentiles() {
 
 #[test]
 fn sp_follow_up_trace_shows_conditioned_derive_and_per_shard_faults() {
+    // with an empty journal, and with a top-up's non-empty overlay as the
+    // walk's last part
+    for topped_up in [false, true] {
+        assert_follow_up_trace_shows_derive_and_faults(topped_up);
+    }
+}
+
+fn assert_follow_up_trace_shows_derive_and_faults(topped_up: bool) {
     // the storage acceptance bar: a traced SP follow-up against a 4-shard
-    // store retains a span tree proving the conditioned derive faulted
-    // exactly shards 0..4, each under its own store.shard_fault span
+    // store, opened the way `serve --store` opens it, retains a span tree
+    // proving the conditioned derive faulted exactly shards 0..4, each
+    // under its own store.shard_fault span
     use cwelmax_obs::AttrValue;
     let graph = Arc::new(generators::erdos_renyi(
         100,
@@ -1216,15 +1225,21 @@ fn sp_follow_up_trace_shows_conditioned_derive_and_per_shard_faults() {
     let dir = std::env::temp_dir().join(format!("cwelmax-server-trace-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     cwelmax_store::write_store(&index, &dir, 4).unwrap();
-    let store = Arc::new(cwelmax_store::ShardedIndex::open(&dir).unwrap());
     let eng = Arc::new(
-        EngineBuilder::from_backend(store)
+        EngineBuilder::from_journaled_store(&dir)
             .graph(graph)
             .build()
             .unwrap(),
     );
     let (handle, join) = start(eng);
     let mut c = Client::connect(&handle);
+    if topped_up {
+        let target = index.num_sampled() + 400;
+        let grown = c.roundtrip(&format!(
+            r#"{{"v": 2, "type": "topup", "theta": {target}}}"#
+        ));
+        assert!(ok(&grown), "{grown:?}");
+    }
 
     let resp = c.roundtrip(
         r#"{"v": 2, "trace": "feed", "config": "C1", "budgets": [3, 3], "sp": [[0, 1], [17, 1]], "samples": 100}"#,

@@ -28,34 +28,39 @@
 //!   and in parallel for whole-index operations; a corrupt shard fails
 //!   its own loads with a precise [`cwelmax_engine::EngineError`] while
 //!   its siblings keep serving;
-//! * [`ShardedIndex`] exposes the monolithic index's query surface
-//!   (`coverage_of`, `postings`, `greedy_select`) with **bit-identical**
-//!   results — contiguous shard ranges preserve global set order, hence
-//!   float-accumulation order and greedy tie-breaks — and implements
-//!   [`cwelmax_engine::IndexBackend`], so a
-//!   [`cwelmax_engine::CampaignEngine`] serves from a store unchanged:
+//! * [`JournaledStore`] — the base [`ShardedIndex`] plus the replayed
+//!   journal overlay (empty journal = a plain store) — is the **one**
+//!   store-side [`cwelmax_engine::IndexBackend`]: a
+//!   [`cwelmax_engine::CampaignEngine`] serves from a store unchanged,
 //!   fresh campaigns draw the manifest's persisted pool and touch **zero**
-//!   shards; the first SP-conditioned follow-up faults all shards in.
+//!   shards, the first SP-conditioned follow-up faults all shards in;
+//! * every whole-store query (`coverage_of`, `greedy_select`,
+//!   conditioning, compaction's fold) is one walk, in the private `walk`
+//!   module, over "base shards in global set order, then the overlay" —
+//!   contiguous ranges preserve global set order, hence
+//!   float-accumulation order and greedy tie-breaks, so results are
+//!   **bit-identical** to the monolithic index cold-built at the same
+//!   `(seed, θ)`.
 //!
 //! ```no_run
 //! use cwelmax_engine::EngineBuilder;
-//! use cwelmax_store::FromStore; // adds EngineBuilder::from_store
+//! use cwelmax_store::FromStore; // adds EngineBuilder::from_journaled_store
 //! use std::sync::Arc;
 //!
 //! # fn demo(graph: Arc<cwelmax_graph::Graph>) -> Result<(), cwelmax_engine::EngineError> {
-//! let engine = EngineBuilder::from_store("big-graph.store") // manifest only
+//! let engine = EngineBuilder::from_journaled_store("big-graph.store") // manifest + journal only
 //!     .graph(graph)
 //!     .build()?; // still no shard I/O
 //! assert_eq!(engine.stats().shards_loaded, 0);
 //! # Ok(())
 //! # }
 //! ```
-
+//!
 //! ## Growing a store
 //!
-//! A store is no longer frozen at build time: [`JournaledStore`] wraps
-//! the sharded base with an append-only mutation journal
-//! (`journal.bin`, [`journal`] module) and a **θ top-up** path —
+//! A store is not frozen at build time: [`JournaledStore`] wraps the
+//! sharded base with an append-only mutation journal (`journal.bin`,
+//! [`journal`] module) and a **θ top-up** path —
 //! `ensure_theta(graph, target)` continues the build's sampling stream
 //! from the current cursor, fsyncs the new sets as one CRC-framed
 //! journal record, and serves them immediately through an in-memory
@@ -66,8 +71,9 @@ pub mod format;
 pub mod journal;
 pub mod sharded;
 pub mod topup;
+mod walk;
 
 pub use format::{Manifest, ShardInfo, MANIFEST_FILE};
 pub use journal::{JournalRecord, Replay, JOURNAL_FILE, JOURNAL_MAGIC, JOURNAL_VERSION};
-pub use sharded::{write_store, FromStore, ShardedIndex, StoreSummary};
-pub use topup::JournaledStore;
+pub use sharded::{write_store, ShardedIndex, StoreSummary};
+pub use topup::{FromStore, JournaledStore};

@@ -9,27 +9,21 @@
 //! the broken file), and whole-index operations fault the missing shards
 //! in **in parallel**.
 //!
-//! Every query result is byte-identical to the monolithic [`RrIndex`]
-//! the store was written from. That is not an accident of small inputs —
-//! shards hold *contiguous* global set ranges, so walking shards in
-//! order visits sets in exactly the global order, which preserves both
-//! the float-accumulation order of marginal gains/coverage and the
-//! low-set-id posting order the monolithic code relies on. The
-//! equivalence (including greedy tie-breaks) is proptested across shard
-//! counts in `tests/store_properties.rs`.
+//! This type is the store's resident skeleton — manifest, lazy slots,
+//! CRC-checked faults — not a serving backend: engines serve through
+//! [`crate::JournaledStore`], which walks these shards (plus its journal
+//! overlay) with the one composed walk in `crate::walk`. Shards hold
+//! *contiguous* global set ranges, which is what lets that walk stay
+//! byte-identical to the monolithic [`RrIndex`] the store was written
+//! from.
 
 use crate::format::{
     shard_from_bytes, shard_path, shard_to_bytes, Manifest, ShardInfo, ShardParts, MANIFEST_FILE,
 };
 use cwelmax_engine::codec::crc32;
-use cwelmax_engine::conditioned::validated_sp_nodes;
-use cwelmax_engine::{
-    ConditionedView, EngineBuilder, EngineError, IndexBackend, IndexMeta, RrIndex, StorageStats,
-};
+use cwelmax_engine::{EngineError, IndexMeta, RrIndex};
 use cwelmax_graph::NodeId;
 use cwelmax_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceScope};
-use cwelmax_rrset::collection::{greedy_argmax, GreedySelection};
-use cwelmax_rrset::condition_parts;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -46,60 +40,6 @@ pub struct StoreSummary {
     /// Leftover shard files (from a crashed or larger previous write)
     /// that were pruned because the new manifest does not name them.
     pub stale_files_pruned: usize,
-}
-
-/// Extends [`EngineBuilder`] with the store source this crate provides:
-/// with the trait in scope, `EngineBuilder::from_store(dir)` builds an
-/// engine over a lazily opened [`ShardedIndex`] — the manifest is read
-/// (and any open error surfaces) at `build()` time, uniformly with the
-/// snapshot source.
-///
-/// ```no_run
-/// use cwelmax_engine::EngineBuilder;
-/// use cwelmax_store::FromStore;
-/// # fn demo(graph: std::sync::Arc<cwelmax_graph::Graph>)
-/// #     -> Result<(), cwelmax_engine::EngineError> {
-/// let engine = EngineBuilder::from_store("big-graph.store")
-///     .graph(graph)
-///     .build()?;
-/// # Ok(())
-/// # }
-/// ```
-pub trait FromStore {
-    /// Serve from a sharded store directory (manifest eagerly at build,
-    /// shards lazily at query time).
-    fn from_store(dir: impl AsRef<Path>) -> EngineBuilder;
-
-    /// Serve from a store directory opened as a [`crate::JournaledStore`]:
-    /// the journal (if any) is replayed at build time, and the engine can
-    /// grow the store live through `ensure_theta` (the wire `topup`
-    /// request). Use this over [`FromStore::from_store`] whenever the
-    /// serving process should accept mutations.
-    fn from_journaled_store(dir: impl AsRef<Path>) -> EngineBuilder;
-}
-
-impl FromStore for EngineBuilder {
-    fn from_store(dir: impl AsRef<Path>) -> EngineBuilder {
-        let dir = dir.as_ref().to_path_buf();
-        // the opener receives the builder's registry, so the store's
-        // fault counters land next to the engine's query counters
-        EngineBuilder::from_backend_fn(move |metrics| {
-            Ok(
-                Arc::new(ShardedIndex::open_with_metrics(dir, Arc::clone(metrics))?)
-                    as Arc<dyn IndexBackend>,
-            )
-        })
-    }
-
-    fn from_journaled_store(dir: impl AsRef<Path>) -> EngineBuilder {
-        let dir = dir.as_ref().to_path_buf();
-        EngineBuilder::from_backend_fn(move |metrics| {
-            Ok(Arc::new(crate::topup::JournaledStore::open_with_metrics(
-                dir,
-                Arc::clone(metrics),
-            )?) as Arc<dyn IndexBackend>)
-        })
-    }
 }
 
 /// Partition a frozen index into a store directory: N shard files
@@ -297,7 +237,7 @@ pub struct ShardedIndex {
     /// Manifest + declared shard file bytes.
     bytes_on_disk: u64,
     /// The registry the fault metrics below live in (shared with the
-    /// engine when opened through `EngineBuilder::from_store`).
+    /// engine when opened through `EngineBuilder::from_journaled_store`).
     metrics: Arc<MetricsRegistry>,
     /// Shard-file fault attempts (each shard faults at most once —
     /// success and failure are both cached).
@@ -544,7 +484,7 @@ impl ShardedIndex {
     /// clone and earn no span). Spans are recorded from the fault worker
     /// threads — [`TraceScope`] is `Copy + Sync`, so each scoped thread
     /// carries its own copy and pushes into the shared trace.
-    fn load_all_traced(
+    pub(crate) fn load_all_traced(
         &self,
         trace: Option<TraceScope<'_>>,
     ) -> Result<Vec<Arc<RrIndex>>, EngineError> {
@@ -582,29 +522,6 @@ impl ShardedIndex {
         (0..self.slots.len()).map(|k| self.shard(k)).collect()
     }
 
-    /// Total weight covered by `seeds` — bit-identical to
-    /// [`RrIndex::coverage_of`] on the monolithic index: seeds outer,
-    /// shards in global set order inner, so every `f64` addition happens
-    /// in the same order.
-    pub fn coverage_of(&self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        let shards = self.load_all()?;
-        let mut covered: Vec<Vec<bool>> =
-            shards.iter().map(|sh| vec![false; sh.num_sets()]).collect();
-        let mut total = 0.0;
-        for &s in seeds {
-            for (sh, cov) in shards.iter().zip(covered.iter_mut()) {
-                let weights = sh.canonical_parts().2;
-                for &j in sh.postings(s) {
-                    if !cov[j as usize] {
-                        cov[j as usize] = true;
-                        total += weights[j as usize];
-                    }
-                }
-            }
-        }
-        Ok(total)
-    }
-
     /// Global ids of the sets containing node `v` (each shard's postings
     /// shifted by its `set_start`; increasing, like the monolithic
     /// index's).
@@ -615,136 +532,5 @@ impl ShardedIndex {
             out.extend(sh.postings(v).iter().map(|&j| j + info.set_start as u32));
         }
         Ok(out)
-    }
-
-    /// Greedy `NodeSelection` over all shards, merging per-shard marginal
-    /// gains — bit-identical to [`RrIndex::greedy_select`] on the
-    /// monolithic index (same accumulation order, same `greedy_argmax`
-    /// tie-breaks), proptested across shard counts. Loads every shard
-    /// (in parallel): a global argmax needs global gains. The *serving*
-    /// path never calls this — the budget-cap pool is persisted in the
-    /// manifest — it exists for ad-hoc selection and as the equivalence
-    /// oracle.
-    pub fn greedy_select(&self, b: usize) -> Result<GreedySelection, EngineError> {
-        let shards = self.load_all()?;
-        let n = self.manifest.num_nodes;
-        let mut gain = vec![0.0f64; n];
-        for sh in &shards {
-            let weights = sh.canonical_parts().2;
-            for (j, &w) in weights.iter().enumerate() {
-                for &v in sh.set(j) {
-                    gain[v as usize] += w;
-                }
-            }
-        }
-        let mut covered: Vec<Vec<bool>> =
-            shards.iter().map(|sh| vec![false; sh.num_sets()]).collect();
-        let mut seeds = Vec::with_capacity(b);
-        let mut coverage = Vec::with_capacity(b);
-        let mut total = 0.0;
-        for _ in 0..b.min(n) {
-            let (best, best_gain) = match greedy_argmax(&gain) {
-                Some(x) => x,
-                None => break,
-            };
-            seeds.push(best as NodeId);
-            total += best_gain;
-            coverage.push(total);
-            for (sh, cov) in shards.iter().zip(covered.iter_mut()) {
-                let weights = sh.canonical_parts().2;
-                for &j in sh.postings(best as NodeId) {
-                    let j = j as usize;
-                    if cov[j] {
-                        continue;
-                    }
-                    cov[j] = true;
-                    for &v in sh.set(j) {
-                        gain[v as usize] -= weights[j];
-                    }
-                }
-            }
-            gain[best] = f64::NEG_INFINITY; // never pick the same node twice
-        }
-        Ok(GreedySelection { seeds, coverage })
-    }
-}
-
-impl IndexBackend for ShardedIndex {
-    fn meta(&self) -> &IndexMeta {
-        self.meta()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.num_nodes()
-    }
-
-    fn num_sampled(&self) -> usize {
-        self.num_sampled()
-    }
-
-    /// The persisted manifest pool — **zero** shard loads: a fresh
-    /// campaign against a cold store touches no shard file at all.
-    fn pool_at_cap(&self) -> Result<Vec<NodeId>, EngineError> {
-        Ok(self.manifest.pool.clone())
-    }
-
-    /// Filter every shard against `SP` (shards in global order, so the
-    /// concatenated survivors are bit-identical to filtering the
-    /// monolithic parts) and assemble the view. This is the one follow-up
-    /// cost a sharded store pays over a monolithic index: the first SP
-    /// query faults all shards in.
-    fn derive_conditioned(&self, sp_nodes: &[NodeId]) -> Result<ConditionedView, EngineError> {
-        self.derive_conditioned_traced(sp_nodes, None)
-    }
-
-    /// The traced variant is the real implementation: it hangs one
-    /// `store.derive_conditioned` span off the engine's derive span, with
-    /// the per-shard fault spans from [`ShardedIndex::load_all_traced`]
-    /// nested underneath — so a follow-up campaign's trace shows exactly
-    /// which shards its first SP query paid to fault in.
-    fn derive_conditioned_traced(
-        &self,
-        sp_nodes: &[NodeId],
-        trace: Option<TraceScope<'_>>,
-    ) -> Result<ConditionedView, EngineError> {
-        let mut span = trace.map(|s| s.span("store.derive_conditioned"));
-        if let Some(sp) = span.as_mut() {
-            sp.attr("shards_total", self.slots.len() as u64);
-        }
-        let child = span.as_ref().map(|sp| sp.scope());
-        let n = self.manifest.num_nodes;
-        let nodes = validated_sp_nodes(n, sp_nodes)?;
-        let shards = self.load_all_traced(child)?;
-        let mut set_offsets = vec![0usize];
-        let mut members: Vec<NodeId> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for sh in &shards {
-            let (o, m, w) = sh.canonical_parts();
-            let (fo, fm, fw) = condition_parts(n, o, m, w, &nodes);
-            let base = members.len();
-            members.extend_from_slice(&fm);
-            weights.extend_from_slice(&fw);
-            set_offsets.extend(fo[1..].iter().map(|&x| x + base));
-        }
-        let removed = self.manifest.total_sets - weights.len();
-        ConditionedView::from_conditioned_parts(
-            nodes,
-            n,
-            self.manifest.num_sampled,
-            set_offsets,
-            members,
-            weights,
-            self.manifest.meta,
-            removed,
-        )
-    }
-
-    fn storage(&self) -> StorageStats {
-        StorageStats {
-            shards_total: self.slots.len() as u64,
-            shards_loaded: self.loaded.load(Ordering::Relaxed),
-            bytes_on_disk: self.bytes_on_disk,
-            ..StorageStats::default()
-        }
     }
 }

@@ -36,16 +36,57 @@
 
 use crate::journal::{self, JournalRecord};
 use crate::sharded::{worker_count, write_store, ShardedIndex, StoreSummary};
+use crate::walk::{self, Canonical};
 use cwelmax_engine::conditioned::validated_sp_nodes;
 use cwelmax_engine::{
-    graph_fingerprint, ConditionedView, EngineError, IndexBackend, IndexMeta, RrIndex, StorageStats,
+    graph_fingerprint, ConditionedView, EngineBuilder, EngineError, IndexBackend, IndexMeta,
+    RrIndex, StorageStats,
 };
 use cwelmax_graph::{Graph, NodeId};
-use cwelmax_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use cwelmax_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceScope};
 use cwelmax_rrset::collection::GreedySelection;
-use cwelmax_rrset::{condition_parts, greedy_argmax, RrCollection, StandardRr, REGEN_SEED_XOR};
+use cwelmax_rrset::{RrCollection, StandardRr, REGEN_SEED_XOR};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Extends [`EngineBuilder`] with the store source this crate provides:
+/// with the trait in scope, `EngineBuilder::from_journaled_store(dir)`
+/// builds an engine over a [`JournaledStore`] opened at `build()` time —
+/// the manifest is read and the journal (if any) replayed then, so open
+/// errors surface uniformly with the snapshot source — and the engine
+/// can grow the store live through `ensure_theta` (the wire `topup`
+/// request).
+///
+/// ```no_run
+/// use cwelmax_engine::EngineBuilder;
+/// use cwelmax_store::FromStore;
+/// # fn demo(graph: std::sync::Arc<cwelmax_graph::Graph>)
+/// #     -> Result<(), cwelmax_engine::EngineError> {
+/// let engine = EngineBuilder::from_journaled_store("big-graph.store")
+///     .graph(graph)
+///     .build()?;
+/// # Ok(())
+/// # }
+/// ```
+pub trait FromStore {
+    /// Serve from a store directory (manifest and journal eagerly at
+    /// build, shards lazily at query time).
+    fn from_journaled_store(dir: impl AsRef<Path>) -> EngineBuilder;
+}
+
+impl FromStore for EngineBuilder {
+    fn from_journaled_store(dir: impl AsRef<Path>) -> EngineBuilder {
+        let dir = dir.as_ref().to_path_buf();
+        // the opener receives the builder's registry, so the store's
+        // fault counters land next to the engine's query counters
+        EngineBuilder::from_backend_fn(move |metrics| {
+            Ok(
+                Arc::new(JournaledStore::open_with_metrics(dir, Arc::clone(metrics))?)
+                    as Arc<dyn IndexBackend>,
+            )
+        })
+    }
+}
 
 /// The mutable half of a [`JournaledStore`]: the current base store and
 /// the overlay of journaled sets not yet folded into it. Swapped as a
@@ -55,17 +96,11 @@ struct State {
     base: Arc<ShardedIndex>,
     /// The journaled sets, frozen into a postings-indexed mini-index —
     /// logically the store's one extra, memory-only shard (global set
-    /// ids `base.num_sets()..`). Rebuilt on each top-up; empty (zero
-    /// sets) right after open-with-no-journal and after `compact`.
+    /// ids `base.num_sets()..`). Replaced on each top-up; empty (zero
+    /// sets) right after open-with-no-journal and after `compact`. Its
+    /// `num_sampled` is the composed θ (base + journal), so θ and the
+    /// sets that justify it can never be observed apart.
     overlay: Arc<RrIndex>,
-    /// Raw overlay parts (global-order concatenation of the journal
-    /// records) — the rebuild source for `overlay` and the tail of the
-    /// canonical parts `compact` freezes.
-    overlay_offsets: Vec<usize>,
-    overlay_members: Vec<NodeId>,
-    overlay_weights: Vec<f64>,
-    /// θ including the overlay (the composed estimator denominator).
-    num_sampled: usize,
     /// Composed budget-cap pool, cached per overlay version (the base
     /// manifest's persisted pool is stale the moment the overlay is
     /// non-empty).
@@ -73,25 +108,14 @@ struct State {
 }
 
 impl State {
-    /// Freeze the overlay parts into the mini-index. Infallible for
-    /// parts this module built (they came out of validated records or a
-    /// collection), but routed through the validating constructor so an
-    /// internal bug surfaces as `Corrupt`, not a later panic.
-    fn rebuild_overlay(&mut self, num_nodes: usize, meta: IndexMeta) -> Result<(), EngineError> {
-        self.overlay = Arc::new(RrIndex::from_canonical(
-            num_nodes,
-            self.num_sampled,
-            self.overlay_offsets.clone(),
-            self.overlay_members.clone(),
-            self.overlay_weights.clone(),
-            meta,
-        )?);
-        Ok(())
+    /// θ including the overlay (the composed estimator denominator).
+    fn num_sampled(&self) -> usize {
+        self.overlay.num_sampled()
     }
 
     /// True when nothing is journaled on top of the base.
     fn overlay_is_empty(&self) -> bool {
-        self.overlay_weights.is_empty() && self.num_sampled == self.base.num_sampled()
+        self.overlay.num_sets() == 0 && self.num_sampled() == self.base.num_sampled()
     }
 }
 
@@ -151,9 +175,7 @@ impl JournaledStore {
         }
         let mut cursor = base.num_sampled();
         let mut applied: u64 = 0;
-        let mut overlay_offsets = vec![0usize];
-        let mut overlay_members: Vec<NodeId> = Vec::new();
-        let mut overlay_weights: Vec<f64> = Vec::new();
+        let mut journaled = Canonical::new();
         for rec in &replayed.records {
             if rec.graph_fingerprint != meta.graph_fingerprint {
                 return Err(EngineError::Corrupt(format!(
@@ -183,10 +205,7 @@ impl JournaledStore {
                     "journal record member node {v} out of range n={num_nodes}"
                 )));
             }
-            let base_len = overlay_members.len();
-            overlay_members.extend_from_slice(&rec.members);
-            overlay_weights.extend_from_slice(&rec.weights);
-            overlay_offsets.extend(rec.set_offsets[1..].iter().map(|&x| x + base_len));
+            journaled.push(&rec.set_offsets, &rec.members, &rec.weights);
             cursor = rec.theta_after;
             applied += 1;
         }
@@ -197,23 +216,11 @@ impl JournaledStore {
             journal::remove(&dir)?;
             journal_disk_bytes = 0;
         }
-        let mut state = State {
+        let state = State {
             base,
-            overlay: Arc::new(RrIndex::from_canonical(
-                num_nodes,
-                cursor,
-                vec![0],
-                Vec::new(),
-                Vec::new(),
-                meta,
-            )?),
-            overlay_offsets,
-            overlay_members,
-            overlay_weights,
-            num_sampled: cursor,
+            overlay: Arc::new(journaled.freeze(num_nodes, cursor, meta)?),
             pool: None,
         };
-        state.rebuild_overlay(num_nodes, meta)?;
         let journal_records = metrics.gauge("store.journal_records");
         journal_records.set(applied as i64);
         let journal_bytes = metrics.gauge("store.journal_bytes");
@@ -242,6 +249,23 @@ impl JournaledStore {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// A consistent `(parts, θ)` snapshot for one composed walk: the
+    /// base shards in global set order (missing ones faulted in, one
+    /// `store.shard_fault` span each under `trace`), then the overlay as
+    /// the last part. Only the snapshot is taken under the lock; the
+    /// walk then runs on the `Arc`s it holds, so a long selection never
+    /// stalls a top-up.
+    fn snapshot(
+        &self,
+        trace: Option<TraceScope<'_>>,
+    ) -> Result<(Vec<Arc<RrIndex>>, usize), EngineError> {
+        let st = self.read();
+        // lint:allow(no-blocking-under-lock) -- the read guard must span the shard loads: compact() swaps the base files on disk under the write lock, so dropping the guard could interleave a base swap between two loads; a read guard blocks only writers, and shards are cached after first touch
+        let mut parts = st.base.load_all_traced(trace)?;
+        parts.push(Arc::clone(&st.overlay));
+        Ok((parts, st.num_sampled()))
+    }
+
     /// The registry this store records into.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -259,7 +283,7 @@ impl JournaledStore {
 
     /// θ — total sets sampled, **including** the journaled overlay.
     pub fn num_sampled(&self) -> usize {
-        self.read().num_sampled
+        self.read().num_sampled()
     }
 
     /// Retained sets across base shards and overlay.
@@ -297,7 +321,7 @@ impl JournaledStore {
             });
         }
         loop {
-            let have = self.read().num_sampled;
+            let have = self.read().num_sampled();
             if target <= have {
                 return Ok(have);
             }
@@ -328,7 +352,7 @@ impl JournaledStore {
                 weights: weights.to_vec(),
             };
             let mut st = self.write();
-            if st.num_sampled != have {
+            if st.num_sampled() != have {
                 // a concurrent top-up moved θ while we sampled; our
                 // cursor is stale, so the sampled sets are the wrong
                 // slice of the stream — resample from the new θ
@@ -343,13 +367,9 @@ impl JournaledStore {
             // replay on open depends on both.
             // lint:allow(no-blocking-under-lock) -- durability ordering: the fsync must complete before the sets become visible, and the append must serialize with the theta recheck so replay sees records in application order
             let appended = journal::append(&self.dir, &record)?;
-            let base_len = st.overlay_members.len();
-            st.overlay_members.extend_from_slice(members);
-            st.overlay_weights.extend_from_slice(weights);
-            let rebased: Vec<usize> = offsets[1..].iter().map(|&x| x + base_len).collect();
-            st.overlay_offsets.extend(rebased);
-            st.num_sampled = target;
-            st.rebuild_overlay(self.num_nodes, self.meta)?;
+            let mut grown = walk::concat(std::slice::from_ref(&st.overlay));
+            grown.push(offsets, members, weights);
+            st.overlay = Arc::new(grown.freeze(self.num_nodes, target, self.meta)?);
             st.pool = None;
             self.journal_records.add(1);
             self.journal_bytes.add(appended as i64);
@@ -360,71 +380,19 @@ impl JournaledStore {
     }
 
     /// Total weight covered by `seeds` over base + overlay —
-    /// bit-identical to a cold build at the composed `(seed, θ)`: sets
-    /// are visited in global order (base shards in order, overlay
-    /// last), so every `f64` addition happens in the cold build's
-    /// order.
+    /// bit-identical to a cold build at the composed `(seed, θ)` (the
+    /// composed walk visits sets in the cold build's global order).
     pub fn coverage_of(&self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        let st = self.read();
-        // lint:allow(no-blocking-under-lock) -- the read guard must span the shard loads: compact() swaps the base files on disk under the write lock, so dropping the guard could interleave a base swap mid-accumulation; a read guard blocks only writers, and shards are cached after first touch
-        let shards = st.base.load_all()?;
-        let mut covered: Vec<Vec<bool>> = shards
-            .iter()
-            .map(|sh| vec![false; sh.num_sets()])
-            .chain(std::iter::once(vec![false; st.overlay.num_sets()]))
-            .collect();
-        let mut total = 0.0;
-        for &s in seeds {
-            for (sh, cov) in shards
-                .iter()
-                .map(|a| a.as_ref())
-                .chain(std::iter::once(st.overlay.as_ref()))
-                .zip(covered.iter_mut())
-            {
-                let weights = sh.canonical_parts().2;
-                // lint:allow(no-blocking-under-lock) -- name-union false positive: `sh` is an in-memory RrIndex shard, not the sharded store; its postings() touches no disk
-                for &j in sh.postings(s) {
-                    if !cov[j as usize] {
-                        cov[j as usize] = true;
-                        total += weights[j as usize];
-                    }
-                }
-            }
-        }
-        Ok(total)
+        let (parts, _) = self.snapshot(None)?;
+        Ok(walk::coverage(&parts, seeds))
     }
 
     /// Greedy selection over base + overlay — bit-identical to the cold
     /// build's (same accumulation order, same `greedy_argmax`
     /// tie-breaks); the equivalence oracle for the top-up tests.
     pub fn greedy_select(&self, b: usize) -> Result<GreedySelection, EngineError> {
-        composed_greedy(&self.read(), self.num_nodes, b)
-    }
-
-    /// The composed budget-cap pool: the manifest's persisted pool
-    /// while nothing is journaled, else recomputed over base + overlay
-    /// and cached until the next top-up.
-    pub fn pool_at_cap(&self) -> Result<Vec<NodeId>, EngineError> {
-        {
-            let st = self.read();
-            if st.overlay_is_empty() {
-                // lint:allow(no-blocking-under-lock) -- the base ShardedIndex serves its cap pool from the in-memory manifest; the name-union drags in this store's own recomputing impl
-                return st.base.pool_at_cap();
-            }
-            if let Some(p) = &st.pool {
-                return Ok(p.clone());
-            }
-        }
-        // compute under the write lock so the cached pool can never be
-        // stale relative to an interleaved top-up
-        let mut st = self.write();
-        if let Some(p) = &st.pool {
-            return Ok(p.clone());
-        }
-        // lint:allow(no-blocking-under-lock) -- cache coherence: the selection must run under the write lock or an interleaved top-up could leave a pool cached over a stale theta; shard loads it performs are cached after first touch
-        let seeds = composed_greedy(&st, self.num_nodes, self.meta.budget_cap as usize)?.seeds;
-        st.pool = Some(seeds.clone());
-        Ok(seeds)
+        let (parts, _) = self.snapshot(None)?;
+        Ok(walk::greedy_select(&parts, self.num_nodes, b))
     }
 
     /// Fold base + overlay into a fresh sharded store (write-then-rename
@@ -452,29 +420,9 @@ impl JournaledStore {
             });
         }
         // lint:allow(no-blocking-under-lock) -- compact is stop-the-world by design: fold, write-then-rename, journal delete, and base re-open must be atomic with respect to every reader and top-up, so the write lock spans all of it
-        let shard_list = st.base.load_all()?;
-        let mut set_offsets = vec![0usize];
-        let mut members: Vec<NodeId> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for sh in shard_list
-            .iter()
-            .map(|a| a.as_ref())
-            .chain(std::iter::once(st.overlay.as_ref()))
-        {
-            let (o, m, w) = sh.canonical_parts();
-            let base = members.len();
-            members.extend_from_slice(m);
-            weights.extend_from_slice(w);
-            set_offsets.extend(o[1..].iter().map(|&x| x + base));
-        }
-        let index = RrIndex::from_canonical(
-            self.num_nodes,
-            st.num_sampled,
-            set_offsets,
-            members,
-            weights,
-            self.meta,
-        )?;
+        let mut parts = st.base.load_all()?;
+        parts.push(Arc::clone(&st.overlay));
+        let index = walk::concat(&parts).freeze(self.num_nodes, st.num_sampled(), self.meta)?;
         // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): the new store must be durable before the journal is deleted, and both before any reader can observe the folded base
         let summary = write_store(&index, &self.dir, shard_count)?;
         // the new manifest is on disk — the journal is now redundant
@@ -485,65 +433,13 @@ impl JournaledStore {
             &self.dir,
             Arc::clone(&self.metrics),
         )?);
-        st.overlay_offsets = vec![0];
-        st.overlay_members = Vec::new();
-        st.overlay_weights = Vec::new();
-        st.rebuild_overlay(self.num_nodes, self.meta)?;
+        st.overlay =
+            Arc::new(Canonical::new().freeze(self.num_nodes, st.base.num_sampled(), self.meta)?);
         st.pool = None;
         self.journal_records.set(0);
         self.journal_bytes.set(0);
         Ok(summary)
     }
-}
-
-/// The composed greedy walk: base shards in global order, then the
-/// overlay as the virtual last shard — structurally identical to
-/// `ShardedIndex::greedy_select`, which is itself bit-identical to the
-/// monolithic `RrIndex::greedy_select`.
-fn composed_greedy(st: &State, n: usize, b: usize) -> Result<GreedySelection, EngineError> {
-    let shard_list = st.base.load_all()?;
-    let parts: Vec<&RrIndex> = shard_list
-        .iter()
-        .map(|a| a.as_ref())
-        .chain(std::iter::once(st.overlay.as_ref()))
-        .collect();
-    let mut gain = vec![0.0f64; n];
-    for sh in &parts {
-        let weights = sh.canonical_parts().2;
-        for (j, &w) in weights.iter().enumerate() {
-            for &v in sh.set(j) {
-                gain[v as usize] += w;
-            }
-        }
-    }
-    let mut covered: Vec<Vec<bool>> = parts.iter().map(|sh| vec![false; sh.num_sets()]).collect();
-    let mut seeds = Vec::with_capacity(b);
-    let mut coverage = Vec::with_capacity(b);
-    let mut total = 0.0;
-    for _ in 0..b.min(n) {
-        let (best, best_gain) = match greedy_argmax(&gain) {
-            Some(x) => x,
-            None => break,
-        };
-        seeds.push(best as NodeId);
-        total += best_gain;
-        coverage.push(total);
-        for (sh, cov) in parts.iter().zip(covered.iter_mut()) {
-            let weights = sh.canonical_parts().2;
-            for &j in sh.postings(best as NodeId) {
-                let j = j as usize;
-                if cov[j] {
-                    continue;
-                }
-                cov[j] = true;
-                for &v in sh.set(j) {
-                    gain[v as usize] -= weights[j];
-                }
-            }
-        }
-        gain[best] = f64::NEG_INFINITY; // never pick the same node twice
-    }
-    Ok(GreedySelection { seeds, coverage })
 }
 
 impl IndexBackend for JournaledStore {
@@ -563,55 +459,69 @@ impl IndexBackend for JournaledStore {
         self.ensure_theta(graph, target)
     }
 
+    /// The composed budget-cap pool: the manifest's persisted pool
+    /// while nothing is journaled (**zero** shard loads — a fresh
+    /// campaign against a cold store touches no shard file at all),
+    /// else recomputed over base + overlay and cached until the next
+    /// top-up.
     fn pool_at_cap(&self) -> Result<Vec<NodeId>, EngineError> {
-        self.pool_at_cap()
+        let plain_base = {
+            let st = self.read();
+            if let Some(p) = &st.pool {
+                return Ok(p.clone());
+            }
+            st.overlay_is_empty().then(|| Arc::clone(&st.base))
+        };
+        if let Some(base) = plain_base {
+            // immutable manifest data: read it off the handle, lock released
+            return Ok(base.pool().to_vec());
+        }
+        let (parts, num_sampled) = self.snapshot(None)?;
+        let cap = self.meta.budget_cap as usize;
+        let seeds = walk::greedy_select(&parts, self.num_nodes, cap).seeds;
+        // cache it unless a top-up moved θ while we selected: the pool
+        // answers the snapshot it was selected over, never a later one
+        let mut st = self.write();
+        if st.num_sampled() == num_sampled {
+            st.pool = Some(seeds.clone());
+        }
+        Ok(seeds)
     }
 
     /// Filter base shards in global order, then the overlay — the
     /// concatenated survivors are bit-identical to filtering the cold
-    /// build's monolithic parts.
-    fn derive_conditioned(&self, sp_nodes: &[NodeId]) -> Result<ConditionedView, EngineError> {
-        let st = self.read();
-        let n = self.num_nodes;
-        let nodes = validated_sp_nodes(n, sp_nodes)?;
-        // lint:allow(no-blocking-under-lock) -- the read guard must span the shard loads (same argument as coverage_of): a concurrent compact swaps the base files, and shards are cached after first touch
-        let shard_list = st.base.load_all()?;
-        let mut set_offsets = vec![0usize];
-        let mut members: Vec<NodeId> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for sh in shard_list
-            .iter()
-            .map(|a| a.as_ref())
-            .chain(std::iter::once(st.overlay.as_ref()))
-        {
-            let (o, m, w) = sh.canonical_parts();
-            let (fo, fm, fw) = condition_parts(n, o, m, w, &nodes);
-            let base = members.len();
-            members.extend_from_slice(&fm);
-            weights.extend_from_slice(&fw);
-            set_offsets.extend(fo[1..].iter().map(|&x| x + base));
+    /// build's monolithic parts. Hangs one `store.derive_conditioned`
+    /// span off the engine's derive span, with one `store.shard_fault`
+    /// span per shard this derivation had to fault in nested underneath
+    /// — so a follow-up campaign's trace shows exactly which shards its
+    /// first SP query paid for. This is the one follow-up cost a store
+    /// pays over a monolithic index: the first SP query faults all
+    /// shards in.
+    fn derive_conditioned_traced(
+        &self,
+        sp_nodes: &[NodeId],
+        trace: Option<TraceScope<'_>>,
+    ) -> Result<ConditionedView, EngineError> {
+        let mut span = trace.map(|s| s.span("store.derive_conditioned"));
+        let child = span.as_ref().map(|sp| sp.scope());
+        let nodes = validated_sp_nodes(self.num_nodes, sp_nodes)?;
+        let (parts, num_sampled) = self.snapshot(child)?;
+        if let Some(sp) = span.as_mut() {
+            // every part but the overlay
+            sp.attr("shards_total", (parts.len() - 1) as u64);
         }
-        let removed = st.base.num_sets() + st.overlay.num_sets() - weights.len();
-        // lint:allow(no-blocking-under-lock) -- name-union false positive: the view is assembled from the already-filtered in-memory parts; the flagged chain routes through an unrelated greedy_select impl
-        ConditionedView::from_conditioned_parts(
-            nodes,
-            n,
-            st.num_sampled,
-            set_offsets,
-            members,
-            weights,
-            self.meta,
-            removed,
-        )
+        walk::condition(&parts, self.num_nodes, num_sampled, self.meta, nodes)
     }
 
     fn storage(&self) -> StorageStats {
-        let base = self.read().base.storage();
+        let st = self.read();
         StorageStats {
+            shards_total: st.base.shards_total() as u64,
+            shards_loaded: st.base.shards_loaded() as u64,
+            bytes_on_disk: st.base.bytes_on_disk(),
             journal_records: self.journal_records(),
             journal_bytes: self.journal_bytes(),
             topups_total: self.topups_total(),
-            ..base
         }
     }
 }

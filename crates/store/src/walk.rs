@@ -1,0 +1,171 @@
+//! The one composed walk: every whole-store operation over an ordered
+//! list of in-memory parts — the base shards in global set order, then
+//! the journal overlay as the last part.
+//!
+//! Bit-identity with the monolithic [`RrIndex`] (and with a cold build
+//! at the topped-up θ) rests on one fact, kept true in this one place:
+//! parts hold *contiguous* global set ranges, so walking parts in order
+//! visits sets in exactly the global order. That preserves the `f64`
+//! accumulation order of coverage and marginal gains, the
+//! `greedy_argmax` tie-breaks, and the survivor order of conditioning.
+//! `tests/store_properties.rs` and `tests/journal_recovery.rs` proptest
+//! the equivalence across shard counts with and without an overlay.
+
+use cwelmax_engine::{ConditionedView, EngineError, IndexMeta, RrIndex};
+use cwelmax_graph::NodeId;
+use cwelmax_rrset::collection::{greedy_argmax, GreedySelection};
+use cwelmax_rrset::condition_parts;
+use std::sync::Arc;
+
+/// Canonical `(set_offsets, members, weights)` parts under construction:
+/// slices appended in global order, offsets rebased onto the running
+/// member count.
+pub(crate) struct Canonical {
+    pub(crate) set_offsets: Vec<usize>,
+    pub(crate) members: Vec<NodeId>,
+    pub(crate) weights: Vec<f64>,
+}
+
+impl Canonical {
+    pub(crate) fn new() -> Canonical {
+        Canonical {
+            set_offsets: vec![0],
+            members: Vec::new(),
+            weights: Vec::new(),
+        }
+    }
+
+    /// Append one part's sets (`set_offsets` local to `members`).
+    pub(crate) fn push(&mut self, set_offsets: &[usize], members: &[NodeId], weights: &[f64]) {
+        let base = self.members.len();
+        self.members.extend_from_slice(members);
+        self.weights.extend_from_slice(weights);
+        self.set_offsets
+            .extend(set_offsets[1..].iter().map(|&x| x + base));
+    }
+
+    /// Freeze into an index through the validating constructor, so an
+    /// internal bug surfaces as `Corrupt`, not a later panic.
+    pub(crate) fn freeze(
+        self,
+        num_nodes: usize,
+        num_sampled: usize,
+        meta: IndexMeta,
+    ) -> Result<RrIndex, EngineError> {
+        RrIndex::from_canonical(
+            num_nodes,
+            num_sampled,
+            self.set_offsets,
+            self.members,
+            self.weights,
+            meta,
+        )
+    }
+}
+
+/// The parts' sets concatenated in global order.
+pub(crate) fn concat(parts: &[Arc<RrIndex>]) -> Canonical {
+    let mut out = Canonical::new();
+    for part in parts {
+        let (o, m, w) = part.canonical_parts();
+        out.push(o, m, w);
+    }
+    out
+}
+
+/// Total weight covered by `seeds`: seeds outer, parts in global set
+/// order inner, so every `f64` addition happens in the order
+/// [`RrIndex::coverage_of`] performs it on the monolithic index.
+pub(crate) fn coverage(parts: &[Arc<RrIndex>], seeds: &[NodeId]) -> f64 {
+    let mut covered: Vec<Vec<bool>> = parts.iter().map(|p| vec![false; p.num_sets()]).collect();
+    let mut total = 0.0;
+    for &s in seeds {
+        for (part, cov) in parts.iter().zip(covered.iter_mut()) {
+            let weights = part.canonical_parts().2;
+            for &j in part.postings(s) {
+                if !cov[j as usize] {
+                    cov[j as usize] = true;
+                    total += weights[j as usize];
+                }
+            }
+        }
+    }
+    total
+}
+
+/// Greedy `NodeSelection` over all parts, merging per-part marginal
+/// gains — the same accumulation order and `greedy_argmax` tie-breaks
+/// as [`RrIndex::greedy_select`] on the monolithic index. A global
+/// argmax needs global gains, so this touches every part.
+pub(crate) fn greedy_select(parts: &[Arc<RrIndex>], num_nodes: usize, b: usize) -> GreedySelection {
+    let mut gain = vec![0.0f64; num_nodes];
+    for part in parts {
+        let weights = part.canonical_parts().2;
+        for (j, &w) in weights.iter().enumerate() {
+            for &v in part.set(j) {
+                gain[v as usize] += w;
+            }
+        }
+    }
+    let mut covered: Vec<Vec<bool>> = parts.iter().map(|p| vec![false; p.num_sets()]).collect();
+    let mut seeds = Vec::with_capacity(b);
+    let mut coverage = Vec::with_capacity(b);
+    let mut total = 0.0;
+    for _ in 0..b.min(num_nodes) {
+        let (best, best_gain) = match greedy_argmax(&gain) {
+            Some(x) => x,
+            None => break,
+        };
+        seeds.push(best as NodeId);
+        total += best_gain;
+        coverage.push(total);
+        for (part, cov) in parts.iter().zip(covered.iter_mut()) {
+            let weights = part.canonical_parts().2;
+            for &j in part.postings(best as NodeId) {
+                let j = j as usize;
+                if cov[j] {
+                    continue;
+                }
+                cov[j] = true;
+                for &v in part.set(j) {
+                    gain[v as usize] -= weights[j];
+                }
+            }
+        }
+        gain[best] = f64::NEG_INFINITY; // never pick the same node twice
+    }
+    GreedySelection { seeds, coverage }
+}
+
+/// Filter every part against `sp_nodes` (sorted, deduped, in range) and
+/// assemble the view: the per-part survivors concatenated in part order
+/// are exactly the survivors of filtering the monolithic parts.
+/// `num_sampled` is the composed θ — filtering preserves it, which is
+/// what makes the view's estimator marginal.
+pub(crate) fn condition(
+    parts: &[Arc<RrIndex>],
+    num_nodes: usize,
+    num_sampled: usize,
+    meta: IndexMeta,
+    sp_nodes: Vec<NodeId>,
+) -> Result<ConditionedView, EngineError> {
+    let mut kept = Canonical::new();
+    let mut total_sets = 0;
+    for part in parts {
+        let (o, m, w) = part.canonical_parts();
+        total_sets += w.len();
+        let (fo, fm, fw) = condition_parts(num_nodes, o, m, w, &sp_nodes);
+        kept.push(&fo, &fm, &fw);
+    }
+    let removed = total_sets - kept.weights.len();
+    ConditionedView::from_conditioned_parts(
+        sp_nodes,
+        num_nodes,
+        num_sampled,
+        kept.set_offsets,
+        kept.members,
+        kept.weights,
+        meta,
+        removed,
+    )
+}

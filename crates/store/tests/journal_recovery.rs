@@ -339,14 +339,11 @@ fn engine_over_journaled_store_grows_theta_live() {
     let (seed, n, cap) = (7u64, 60usize, 6u32);
     let g = Arc::new(graph_of(seed, n));
     let dir = store_at(&g, seed, 300, cap, 4, "engine");
-    let cold_dir = scratch("engine-cold");
-    write_store(&cold_index(&g, seed, 900, cap), &cold_dir, 4).unwrap();
-
     let live = EngineBuilder::from_journaled_store(&dir)
         .graph(Arc::clone(&g))
         .build()
         .unwrap();
-    let want = EngineBuilder::from_store(&cold_dir)
+    let want = EngineBuilder::from_index(Arc::new(cold_index(&g, seed, 900, cap)))
         .graph(Arc::clone(&g))
         .build()
         .unwrap();
@@ -383,13 +380,12 @@ fn engine_over_journaled_store_grows_theta_live() {
     assert_eq!(s.journal_records, 1);
     assert!(s.journal_bytes > 0);
     assert_eq!(s.topups_total, 1);
-    // snapshot-backed engines refuse a real deficit instead of lying
+    // an in-memory index refuses a real deficit instead of lying
     match want.ensure_theta(5_000) {
         Err(EngineError::BadQuery(msg)) => assert!(msg.contains("top-up")),
         other => panic!("expected BadQuery, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&cold_dir).ok();
 }
 
 /// Satellite: the `store.resident_bytes` gauge tracks decoded shard
@@ -409,7 +405,7 @@ fn resident_bytes_gauge_tracks_lazy_shard_faults() {
     store.shard(1).unwrap();
     let one = store.resident_bytes();
     assert!(one > 0);
-    store.coverage_of(&[0]).unwrap();
+    store.load_all().unwrap();
     // fully faulted = every shard file resident (bytes_on_disk also
     // counts the manifest, which is read eagerly, not lazily resident)
     let shard_bytes: u64 = std::fs::read_dir(&dir)

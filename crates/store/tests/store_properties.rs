@@ -1,15 +1,15 @@
 //! Property and adversarial tests for the sharded store: equivalence
-//! with the monolithic index (bit-identical, across shard counts),
-//! corruption robustness, lazy-load observability, and engine
-//! integration.
+//! with the monolithic index (bit-identical, across shard counts, with
+//! and without a journaled top-up), corruption robustness, lazy-load
+//! observability, and engine integration.
 
 use cwelmax_engine::{
     graph_fingerprint, ConditionedView, EngineBuilder, EngineError, IndexBackend, IndexMeta,
     RrIndex,
 };
-use cwelmax_graph::{generators, ProbabilityModel as PM};
-use cwelmax_rrset::{RrCollection, StandardRr};
-use cwelmax_store::{write_store, FromStore, ShardedIndex};
+use cwelmax_graph::{generators, Graph, ProbabilityModel as PM};
+use cwelmax_rrset::{RrCollection, StandardRr, REGEN_SEED_XOR};
+use cwelmax_store::{write_store, FromStore, JournaledStore, ShardedIndex};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,11 +30,15 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn index_from(seed: u64, n: usize, sets: usize, cap: u32) -> RrIndex {
+/// A graph and the cold index over it at θ = `sets`, on the sampling
+/// stream a top-up continues (`seed ^ REGEN_SEED_XOR`): a build at θ₂ is
+/// the prefix-extension of a build at θ₁ < θ₂, so it is the oracle for a
+/// store written at θ₁ and topped up to θ₂.
+fn cold_build(seed: u64, n: usize, sets: usize, cap: u32) -> (Graph, RrIndex) {
     let g = generators::erdos_renyi(n, n * 4, seed, PM::WeightedCascade);
     let mut c = RrCollection::new(n);
-    c.extend_parallel(&g, &StandardRr, sets, seed ^ 0x51AB, 2);
-    RrIndex::freeze(
+    c.extend_parallel(&g, &StandardRr, sets, seed ^ REGEN_SEED_XOR, 2);
+    let index = RrIndex::freeze(
         &c,
         IndexMeta {
             eps: 0.5,
@@ -43,35 +47,53 @@ fn index_from(seed: u64, n: usize, sets: usize, cap: u32) -> RrIndex {
             budget_cap: cap,
             graph_fingerprint: graph_fingerprint(&g),
         },
-    )
+    );
+    (g, index)
+}
+
+fn index_from(seed: u64, n: usize, sets: usize, cap: u32) -> RrIndex {
+    cold_build(seed, n, sets, cap).1
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The tentpole equivalence bar: for arbitrary build inputs and any
-    /// shard count 1..8 — including counts exceeding the set count —
-    /// `coverage_of`, `greedy_select`, `postings`, and the persisted
-    /// pool are **byte-identical** to the monolithic index the store was
-    /// written from.
+    /// The tentpole equivalence bar: for arbitrary build inputs, any
+    /// shard count 1..8 — including counts exceeding the set count — and
+    /// an optional journaled top-up (`topup = 0` is the plain store; a
+    /// positive one is left in the overlay, not compacted), the served
+    /// store's `coverage_of`, `greedy_select` and budget-cap pool are
+    /// **byte-identical** to the monolithic index cold-built at the
+    /// composed θ; the manifest's persisted pool and the shards' global
+    /// posting ids are those of the index the store was written from.
     #[test]
     fn sharded_queries_equal_monolithic_bit_for_bit(
         seed in 0u64..5_000,
         n in 5usize..60,
         sets in 0usize..400,
         shards in 1usize..8,
+        topup in 0usize..200,
     ) {
-        let idx = index_from(seed, n, sets, 6);
+        let (g, written) = cold_build(seed, n, sets, 6);
         let dir = scratch("equiv");
-        write_store(&idx, &dir, shards).unwrap();
-        let store = ShardedIndex::open(&dir).unwrap();
+        write_store(&written, &dir, shards).unwrap();
+        let sharded = ShardedIndex::open(&dir).unwrap();
+        // the persisted pool is the monolithic budget-cap selection
+        prop_assert_eq!(sharded.pool(), &written.greedy_select(6).seeds[..]);
+        prop_assert_eq!(sharded.estimate(2.5), written.estimate(2.5));
+        // postings: global ids in the monolithic order
+        for v in 0..(n as u32) {
+            prop_assert_eq!(&sharded.postings(v).unwrap()[..], written.postings(v), "node {}", v);
+        }
+
+        let store = JournaledStore::open(&dir).unwrap();
+        prop_assert_eq!(store.ensure_theta(&g, sets + topup).unwrap(), sets + topup);
+        let idx = index_from(seed, n, sets + topup, 6);
         prop_assert_eq!(store.num_nodes(), idx.num_nodes());
         prop_assert_eq!(store.num_sampled(), idx.num_sampled());
         prop_assert_eq!(store.num_sets(), idx.num_sets());
         prop_assert_eq!(store.meta(), idx.meta());
-
-        // the persisted pool is the monolithic budget-cap selection
-        prop_assert_eq!(store.pool(), &idx.greedy_select(6).seeds[..]);
+        prop_assert_eq!(store.pool_at_cap().unwrap(), idx.greedy_select(6).seeds);
 
         // coverage: identical bits (same f64 accumulation order)
         let probes: [&[u32]; 4] = [&[], &[0], &[1, 3, 2], &[(n as u32) - 1, 0, 2]];
@@ -82,7 +104,6 @@ proptest! {
                 "coverage diverged for {:?}", seeds
             );
         }
-        prop_assert_eq!(store.estimate(2.5), idx.estimate(2.5));
 
         // greedy selection: same seeds, same coverage prefix, same bits
         for b in [1usize, 3, 6] {
@@ -93,29 +114,28 @@ proptest! {
             let e_bits: Vec<u64> = e.coverage.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(a_bits, e_bits, "budget {}", b);
         }
-
-        // postings: global ids in the monolithic order
-        for v in 0..(n as u32) {
-            prop_assert_eq!(&store.postings(v).unwrap()[..], idx.postings(v), "node {}", v);
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// SP-conditioned derivation through the sharded backend equals the
-    /// monolithic `ConditionedView::derive` exactly (inner parts, pool,
-    /// removed-set count) for arbitrary SP node sets.
+    /// SP-conditioned derivation through the store backend equals the
+    /// monolithic `ConditionedView::derive` at the composed θ exactly
+    /// (inner parts, pool, removed-set count) for arbitrary SP node sets,
+    /// with and without a journaled top-up.
     #[test]
     fn sharded_conditioning_equals_monolithic(
         seed in 0u64..3_000,
         shards in 1usize..8,
         sp_seed in 0u64..500,
         sp_len in 0usize..5,
+        topup in 0usize..200,
     ) {
         let n = 40usize;
-        let idx = index_from(seed, n, 300, 5);
+        let (g, written) = cold_build(seed, n, 300, 5);
         let dir = scratch("cond");
-        write_store(&idx, &dir, shards).unwrap();
-        let store = ShardedIndex::open(&dir).unwrap();
+        write_store(&written, &dir, shards).unwrap();
+        let store = JournaledStore::open(&dir).unwrap();
+        store.ensure_theta(&g, 300 + topup).unwrap();
+        let idx = index_from(seed, n, 300 + topup, 5);
         let sp: Vec<u32> = (0..sp_len)
             .map(|j| ((sp_seed + 11 * j as u64) % n as u64) as u32)
             .collect();
@@ -183,8 +203,9 @@ proptest! {
         prop_assert!(snap.counters["store.shard_fault_bytes"] > 0);
         prop_assert_eq!(snap.histograms["store.shard_fault_ns"].count, shards as u64);
         // whole-index operations over a damaged store are errors, not UB
-        prop_assert!(store.coverage_of(&[0]).is_err());
-        prop_assert!(store.greedy_select(2).is_err());
+        let served = JournaledStore::open(&dir).unwrap();
+        prop_assert!(served.coverage_of(&[0]).is_err());
+        prop_assert!(served.greedy_select(2).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -229,13 +250,17 @@ fn shard_count_exceeding_set_count_is_valid() {
     let dir = scratch("excess");
     let summary = write_store(&idx, &dir, 8).unwrap();
     assert_eq!(summary.shards, 8);
-    let store = ShardedIndex::open(&dir).unwrap();
-    assert_eq!(store.shards_total(), 8);
+    let store = JournaledStore::open(&dir).unwrap();
+    assert_eq!(store.storage().shards_total, 8);
     let a = store.greedy_select(2).unwrap();
     let e = idx.greedy_select(2);
     assert_eq!(a.seeds, e.seeds);
     assert_eq!(a.coverage, e.coverage);
-    assert_eq!(store.shards_loaded(), 8, "all shards (even empty) load");
+    assert_eq!(
+        store.storage().shards_loaded,
+        8,
+        "all shards (even empty) load"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -302,8 +327,8 @@ fn rewriting_a_store_prunes_stale_shards() {
         ],
         "stale shards from the 8-shard write must be pruned, no .tmp left"
     );
-    let store = ShardedIndex::open(&dir).unwrap();
-    assert_eq!(store.shards_total(), 3);
+    let store = JournaledStore::open(&dir).unwrap();
+    assert_eq!(store.storage().shards_total, 3);
     let a = store.greedy_select(5).unwrap();
     let e = idx.greedy_select(5);
     assert_eq!(a.seeds, e.seeds);
@@ -325,7 +350,6 @@ fn shards_load_lazily_and_exactly_once() {
     assert_eq!(store.bytes_on_disk(), summary.bytes_on_disk);
 
     let _ = store.pool();
-    let _ = store.pool_at_cap().unwrap();
     let _ = store.estimate(1.0);
     assert_eq!(store.shards_loaded(), 0, "the persisted pool is shard-free");
 
@@ -335,8 +359,13 @@ fn shards_load_lazily_and_exactly_once() {
     // a second touch is the cached Arc, not a re-read
     assert!(Arc::ptr_eq(&sh0, &store.shard(0).unwrap()));
 
-    store.coverage_of(&[0, 3]).unwrap();
-    assert_eq!(store.shards_loaded(), 5, "coverage needs every shard");
+    let served = JournaledStore::open(&dir).unwrap();
+    served.coverage_of(&[0, 3]).unwrap();
+    assert_eq!(
+        served.storage().shards_loaded,
+        5,
+        "coverage needs every shard"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -365,7 +394,7 @@ fn engine_over_store_matches_monolithic_and_stays_lazy() {
     let dir = scratch("engine");
     write_store(&idx, &dir, 4).unwrap();
     // the builder's store source: manifest read at build(), shards lazy
-    let lazy = EngineBuilder::from_store(&dir)
+    let lazy = EngineBuilder::from_journaled_store(&dir)
         .graph(graph.clone())
         .build()
         .unwrap();
@@ -407,7 +436,10 @@ fn engine_over_store_matches_monolithic_and_stays_lazy() {
     );
     // graph-fingerprint protection applies to stores too
     let other = Arc::new(generators::erdos_renyi(80, 320, 8, PM::WeightedCascade));
-    match EngineBuilder::from_store(&dir).graph(other).build() {
+    match EngineBuilder::from_journaled_store(&dir)
+        .graph(other)
+        .build()
+    {
         Err(EngineError::GraphMismatch { .. }) => {}
         other => panic!("expected GraphMismatch, got {:?}", other.err()),
     }

@@ -20,9 +20,10 @@
 //! * [`engine`] — persistent RR-set index (versioned, checksummed
 //!   snapshots) and the multi-campaign query engine that answers many
 //!   allocation queries over one prebuilt index without resampling;
-//! * [`store`] — sharded on-disk index store (`cwelmax index shard`):
-//!   a manifest opened eagerly plus lazily loaded shard files, so server
-//!   cold-start is `O(manifest)` instead of `O(index)`;
+//! * [`store`] — sharded, journaled on-disk index store (`cwelmax index
+//!   shard` / `topup` / `compact`): a manifest opened eagerly plus lazily
+//!   loaded shard files, so server cold-start is `O(manifest)` instead of
+//!   `O(index)`; served through one backend, `JournaledStore`;
 //! * [`server`] — long-lived TCP front-end over one `CampaignEngine`
 //!   (newline-delimited JSON, versioned wire protocol; `cwelmax serve`);
 //! * [`client`] — typed client for that server (`hello` negotiation of
@@ -71,7 +72,7 @@ pub mod prelude {
     };
     pub use cwelmax_graph::{Graph, GraphBuilder, ProbabilityModel};
     pub use cwelmax_server::{CampaignServer, ServerHandle};
-    pub use cwelmax_store::{FromStore, ShardedIndex};
+    pub use cwelmax_store::{FromStore, JournaledStore};
     pub use cwelmax_utility::configs::{self, TwoItemConfig};
     pub use cwelmax_utility::{ItemId, ItemSet, UtilityModel};
 }
