@@ -227,6 +227,9 @@ pub struct CwelmaxClient {
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The framed request, then the response line: one buffer serves
+    /// every round trip of the connection.
+    buf: String,
 }
 
 impl Conn {
@@ -236,23 +239,26 @@ impl Conn {
         Ok(Conn {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
+            buf: String::new(),
         })
     }
 
-    /// One request line out, one response line in.
-    fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
+    /// One request line out, one response line in. The line and its
+    /// newline leave in one write: on a `TCP_NODELAY` stream every write
+    /// is a segment of its own and a read of its own at the server.
+    fn roundtrip(&mut self, line: &str) -> std::io::Result<&str> {
+        self.buf.clear();
+        self.buf.push_str(line);
+        self.buf.push('\n');
+        self.writer.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        if self.reader.read_line(&mut self.buf)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        Ok(response)
+        Ok(&self.buf)
     }
 }
 
@@ -290,8 +296,7 @@ impl CwelmaxClient {
     }
 
     fn negotiate(conn: &mut Conn) -> Result<Option<Hello>, ClientError> {
-        let line = conn.roundtrip(r#"{"v": 2, "type": "hello"}"#)?;
-        let v = parse_line(&line)?;
+        let v = parse_line(conn.roundtrip(r#"{"v": 2, "type": "hello"}"#)?)?;
         let obj = object_of(&v)?;
         if obj.get("ok") == Some(&Value::Bool(true)) {
             return Self::negotiate_payload(obj);
@@ -604,15 +609,14 @@ impl CwelmaxClient {
     /// once if the connection broke underneath us.
     fn request(&mut self, line: String) -> Result<Value, ClientError> {
         match self.conn.roundtrip(&line) {
-            Ok(response) => parse_line(&response),
+            Ok(response) => parse_line(response),
             Err(_) => {
                 // the socket died (restart, idle reap, broken pipe):
                 // reconnect once and retry; a fresh failure is real
                 let mut conn = Conn::open(&self.addr)?;
                 self.negotiated = Self::negotiate(&mut conn)?;
                 self.conn = conn;
-                let response = self.conn.roundtrip(&line)?;
-                parse_line(&response)
+                parse_line(self.conn.roundtrip(&line)?)
             }
         }
     }

@@ -150,34 +150,37 @@ impl<'a> WelfareEstimator<'a> {
         let samples = self.cfg.samples.max(1) as u64;
         let num_blocks = samples.div_ceil(BLOCK);
         let threads = (self.cfg.effective_threads() as u64).min(num_blocks).max(1);
-        let block_sums: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let shard = &shard;
-                    let make_ctx = &make_ctx;
-                    scope.spawn(move || {
-                        // thread t owns blocks t, t+T, t+2T, ... — each block
-                        // is still summed internally in world order
-                        let mut ctx = make_ctx();
-                        let mut owned = Vec::new();
-                        let mut b = t;
-                        while b < num_blocks {
-                            let lo = b * BLOCK;
-                            let hi = (lo + BLOCK).min(samples);
-                            let mut acc = vec![0.0f64; width];
-                            shard(&mut ctx, lo..hi, &mut acc);
-                            owned.push(acc);
-                            b += threads;
-                        }
-                        owned
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+        // thread t owns blocks t, t+T, t+2T, ... — each block is still
+        // summed internally in world order
+        let owned_by = |t: u64| {
+            let mut ctx = make_ctx();
+            let mut owned = Vec::new();
+            let mut b = t;
+            while b < num_blocks {
+                let lo = b * BLOCK;
+                let hi = (lo + BLOCK).min(samples);
+                let mut acc = vec![0.0f64; width];
+                shard(&mut ctx, lo..hi, &mut acc);
+                owned.push(acc);
+                b += threads;
+            }
+            owned
+        };
+        // one thread is the caller: a spawn per estimate would be paid by
+        // every single-threaded (i.e. every served) welfare miss
+        let block_sums: Vec<Vec<Vec<f64>>> = if threads == 1 {
+            vec![owned_by(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| scope.spawn(move || owned_by(t)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked"))
+                    .collect()
+            })
+        };
         // reassemble in block order: block b lives at thread b % T, slot b / T
         let mut acc = vec![0.0f64; width];
         for b in 0..num_blocks {

@@ -216,6 +216,25 @@ impl ConditionedCache {
         self
     }
 
+    /// Canonicalise `sp_nodes` (sorted, deduped) and look its slot up:
+    /// the node set, its key, and whatever view is resident under that
+    /// key — which, fingerprints being 64 bits, may be another set's.
+    fn probe(&self, sp_nodes: &[NodeId]) -> (Vec<NodeId>, u64, Option<Arc<ConditionedView>>) {
+        let mut nodes = sp_nodes.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let key = sp_fingerprint(&nodes);
+        let resident = crate::lock_recover(&self.views).get(&key).cloned();
+        (nodes, key, resident)
+    }
+
+    /// The cached view for `sp_nodes`, if there is one (confirmed by node
+    /// set, as in [`ConditionedCache::get_or_derive`]).
+    pub fn get(&self, sp_nodes: &[NodeId]) -> Option<Arc<ConditionedView>> {
+        let (nodes, _, resident) = self.probe(sp_nodes);
+        resident.filter(|view| view.sp_nodes() == nodes)
+    }
+
     /// Fetch the view for `sp_nodes`, deriving (and caching) it on a miss
     /// via `derive` — the caller's backend hook ([`ConditionedView::derive`]
     /// for a monolithic [`RrIndex`]; sharded backends filter shard by
@@ -236,16 +255,10 @@ impl ConditionedCache {
         sp_nodes: &[NodeId],
         derive: impl FnOnce(&[NodeId]) -> Result<ConditionedView, EngineError>,
     ) -> Result<(Arc<ConditionedView>, bool), EngineError> {
-        let mut nodes = sp_nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let key = sp_fingerprint(&nodes);
-        let mut collision = false;
-        if let Some(v) = crate::lock_recover(&self.views).get(&key) {
-            if v.sp_nodes() == nodes {
-                return Ok((v.clone(), true));
-            }
-            collision = true;
+        let (nodes, key, resident) = self.probe(sp_nodes);
+        let collision = resident.is_some();
+        if let Some(v) = resident.filter(|v| v.sp_nodes() == nodes) {
+            return Ok((v, true));
         }
         let view = Arc::new(derive(&nodes)?);
         if !collision {

@@ -16,9 +16,16 @@
 //!
 //! A small welfare-evaluation cache (keyed by model fingerprint ×
 //! allocation × simulation settings) deduplicates the Monte-Carlo work that
-//! repeated or overlapping queries would otherwise redo, and
-//! [`CampaignEngine::query_batch`] fans independent queries out across
-//! threads — the engine is immutable-shared (`&self`) by construction.
+//! repeated or overlapping queries would otherwise redo.
+//!
+//! [`CampaignEngine::query_batch`] answers on the calling thread every
+//! entry the caches already cover — SeqGRD-NM over a resident pool or
+//! view whose welfare is cached, microseconds each — and fans only the
+//! residue that has to simulate out across threads (the engine is
+//! immutable-shared, `&self`, by construction). What selects the path is
+//! cache state the engine observes, never a size threshold: a thread
+//! spawn costs more than a dozen cache hits, and less than one
+//! Monte-Carlo estimate.
 
 use crate::backend::{IndexBackend, StorageStats};
 use crate::conditioned::{ConditionedCache, ConditionedView};
@@ -29,9 +36,12 @@ use crate::query::{CampaignAnswer, CampaignQuery, QueryAlgorithm};
 use cwelmax_core::{MaxGrd, Problem, SeqGrd};
 use cwelmax_diffusion::{Allocation, WelfareEstimator};
 use cwelmax_graph::{Graph, NodeId};
-use cwelmax_obs::{Counter, Histogram, MetricsRegistry, TraceScope};
-use serde::{Serialize, Value};
+use cwelmax_obs::{Counter, Histogram, MetricsRegistry, SpanGuard, TraceScope};
+use cwelmax_utility::ItemId;
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -85,10 +95,11 @@ pub struct CampaignEngine {
     /// `Arc` so in-flight queries keep their selection across an
     /// invalidation.
     pool: Mutex<Option<Result<Arc<Vec<NodeId>>, EngineError>>>,
-    /// Welfare cache: `(model, allocation, sim)` fingerprint → estimate.
-    /// Bounded LRU — hot keys survive sustained mixed traffic instead of
-    /// being dropped wholesale when the cache fills.
-    cache: Mutex<LruCache<u64, f64>>,
+    /// Welfare cache: hash of a [`WelfareKey`] → the key and its
+    /// estimate (see [`welfare_lookup`]). Bounded LRU — hot keys survive
+    /// sustained mixed traffic instead of being dropped wholesale when
+    /// the cache fills.
+    cache: Mutex<WelfareCache>,
     /// SP-conditioned index views, keyed by SP node-set fingerprint, so
     /// repeated follow-up campaigns against the same prior allocation are
     /// served warm (no filtering, no re-selection).
@@ -106,9 +117,69 @@ pub struct CampaignEngine {
     cache_evictions: Arc<Counter>,
     conditioned_views: Arc<Counter>,
     conditioned_hits: Arc<Counter>,
+    /// Threads spawned for the deferred residue of batches; stays 0
+    /// while every batch is answered from the caches.
+    batch_workers: Arc<Counter>,
     query_ns: Arc<Histogram>,
     batch_ns: Arc<Histogram>,
     conditioned_derive_ns: Arc<Histogram>,
+}
+
+/// What [`CampaignEngine::answer`] hands back for a query it stopped
+/// short of: one it was told to defer where the caches end — at an
+/// uncached SP view, a welfare-cache miss, or an algorithm that simulates
+/// inside its solver. The `defer: Option<D>` parameter of the query path
+/// is `Some(Deferred)` for that, and `None` to do the work instead; the
+/// caller that passes `None` picks `D = Infallible`, so that its answer
+/// cannot be a deferral is a fact of the types.
+#[derive(Debug, Clone, Copy)]
+struct Deferred;
+
+/// Everything a welfare estimate is a function of. The cache is keyed by
+/// this value's 64-bit hash and keeps the value beside the estimate, so a
+/// hash collision is a detected miss, not another query's welfare.
+#[derive(Debug, Hash, PartialEq)]
+struct WelfareKey<'a> {
+    model_fp: u64,
+    pairs: Cow<'a, [(NodeId, ItemId)]>,
+    samples: usize,
+    base_seed: u64,
+}
+
+impl WelfareKey<'_> {
+    fn hash64(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
+    }
+}
+
+type WelfareCache = LruCache<u64, (WelfareKey<'static>, f64)>;
+
+/// Outcome of [`welfare_lookup`].
+#[derive(Debug, PartialEq)]
+enum Cached {
+    Hit(f64),
+    Absent,
+    /// The slot holds another key with the same hash: compute, serve
+    /// uncached, leave the resident entry alone (as
+    /// `ConditionedCache::get_or_derive` treats a fingerprint collision).
+    Collision,
+}
+
+fn welfare_lookup(cache: &mut WelfareCache, hash: u64, asked: &WelfareKey<'_>) -> Cached {
+    match cache.get(&hash) {
+        Some((held, welfare)) if held == asked => Cached::Hit(*welfare),
+        Some(_) => Cached::Collision,
+        None => Cached::Absent,
+    }
+}
+
+/// Drop a deferred probe's span unrecorded.
+fn discard(span: Option<SpanGuard<'_>>) {
+    if let Some(s) = span {
+        s.discard();
+    }
 }
 
 /// Default welfare-cache capacity (entries); override with
@@ -149,6 +220,7 @@ impl CampaignEngine {
             welfare_cache_misses: metrics.counter("engine.welfare_cache_misses"),
             conditioned_views: metrics.counter("engine.conditioned_views"),
             conditioned_hits: metrics.counter("engine.conditioned_hits"),
+            batch_workers: metrics.counter("engine.batch_workers"),
             query_ns: metrics.histogram("engine.query_ns"),
             batch_ns: metrics.histogram("engine.batch_ns"),
             conditioned_derive_ns: metrics.histogram("engine.conditioned_derive_ns"),
@@ -159,7 +231,9 @@ impl CampaignEngine {
     /// Derive (and cache) the SP-conditioned view for `sp_nodes` ahead
     /// of traffic — `EngineBuilder::prewarm_sp`'s build-time hook.
     pub(crate) fn prewarm_view(&self, sp_nodes: &[NodeId]) -> Result<(), EngineError> {
-        self.conditioned_view(sp_nodes, None).map(|_| ())
+        let (_, hit) = self.conditioned_view(sp_nodes, None)?;
+        self.count_view(hit);
+        Ok(())
     }
 
     /// The shared graph.
@@ -238,17 +312,19 @@ impl CampaignEngine {
         Ok(theta)
     }
 
-    /// The SP-conditioned view for `sp_nodes`, from the cache when warm.
-    /// A cache miss derives under an `engine.conditioned_derive` span
-    /// (when traced) with the SP fingerprint attached; the backend gets
-    /// the span's child scope so storage-side work (shard faults) nests
-    /// under the derive.
+    /// The SP-conditioned view for `sp_nodes` and whether the cache held
+    /// it. A cache miss derives under an `engine.conditioned_derive`
+    /// span (when traced) with the SP fingerprint attached; the backend
+    /// gets the span's child scope so storage-side work (shard faults)
+    /// nests under the derive. The caller counts the outcome
+    /// ([`Self::count_view`]) once the query it serves is past its last
+    /// deferral point.
     fn conditioned_view(
         &self,
         sp_nodes: &[NodeId],
         scope: Option<TraceScope<'_>>,
-    ) -> Result<Arc<ConditionedView>, EngineError> {
-        let (view, hit) = self.conditioned.get_or_derive(sp_nodes, |nodes| {
+    ) -> Result<(Arc<ConditionedView>, bool), EngineError> {
+        self.conditioned.get_or_derive(sp_nodes, |nodes| {
             let mut span = scope.map(|s| s.span("engine.conditioned_derive"));
             if let Some(sp) = span.as_mut() {
                 sp.attr(
@@ -262,13 +338,15 @@ impl CampaignEngine {
             let derived = self.backend.derive_conditioned_traced(nodes, child);
             self.conditioned_derive_ns.record_since(start);
             derived
-        })?;
+        })
+    }
+
+    fn count_view(&self, hit: bool) {
         if hit {
             self.conditioned_hits.incr();
         } else {
             self.conditioned_views.incr();
         }
-        Ok(view)
     }
 
     fn validate(&self, q: &CampaignQuery) -> Result<(), EngineError> {
@@ -333,6 +411,24 @@ impl CampaignEngine {
         q: &CampaignQuery,
         parent: Option<TraceScope<'_>>,
     ) -> Result<CampaignAnswer, EngineError> {
+        self.answer(q, parent, None::<Infallible>)
+            .map(|answered| answered.unwrap_or_else(|never| match never {}))
+    }
+
+    /// The one query body: answer `q`, or — given `defer` — hand `defer`
+    /// back where the caches end, leaving no counter, histogram sample
+    /// or span behind (a query counts once, when it is answered).
+    fn answer<D: Copy>(
+        &self,
+        q: &CampaignQuery,
+        parent: Option<TraceScope<'_>>,
+        defer: Option<D>,
+    ) -> Result<Result<CampaignAnswer, D>, EngineError> {
+        // every solver but SeqGRD-NM runs Monte-Carlo marginals inside
+        // `solve_with_pool`, which no cache covers
+        if let (Some(d), true) = (defer, q.algorithm != QueryAlgorithm::SeqGrdNm) {
+            return Ok(Err(d));
+        }
         let start = std::time::Instant::now();
         let mut root = parent.map(|s| s.span("engine.query"));
         if let Some(sp) = root.as_mut() {
@@ -342,23 +438,41 @@ impl CampaignEngine {
         let scope = root.as_ref().map(|s| s.scope());
         self.validate(q)?;
         // whichever Arc backs `pool` must outlive it, hence the bindings
-        let view;
+        let mut view = None;
         let pool_arc;
         let pool: &[NodeId] = if q.sp.is_empty() {
             pool_arc = self.pool()?;
             &pool_arc
         } else {
-            view = self.conditioned_view(&q.sp.seed_nodes(), scope)?;
-            view.pool()
+            let nodes = q.sp.seed_nodes();
+            let found = match defer {
+                None => self.conditioned_view(&nodes, scope)?,
+                Some(d) => match self.conditioned.get(&nodes) {
+                    Some(cached) => (cached, true),
+                    None => {
+                        discard(root);
+                        return Ok(Err(d));
+                    }
+                },
+            };
+            view.insert(found).0.pool()
         };
         let problem = Problem::new_shared(self.graph.clone(), q.model.clone())
             .with_budgets(q.budgets.clone())
             .with_fixed_allocation(q.sp.clone())
             .with_sim(q.sim);
         let model_fp = model_fingerprint(&q.model);
-        // the objective is ρ(S ∪ SP); for fresh campaigns the union is S
-        let eval =
-            |alloc: &Allocation| self.evaluate(&problem, model_fp, &alloc.union(&q.sp), scope);
+        // the objective is ρ(S ∪ SP); for fresh campaigns the union is S.
+        // A deferred evaluation is noted and reads as NaN until the check
+        // below; given `defer`, only SeqGRD-NM's one evaluation gets here
+        let deferred = Cell::new(None);
+        let eval = |alloc: &Allocation| {
+            self.evaluate(&problem, model_fp, &alloc.union(&q.sp), scope, defer)
+                .unwrap_or_else(|d| {
+                    deferred.set(Some(d));
+                    f64::NAN
+                })
+        };
 
         let (algorithm, allocation) = match q.algorithm {
             QueryAlgorithm::SeqGrdNm => {
@@ -385,20 +499,28 @@ impl CampaignEngine {
             }
         };
         let welfare = eval(&allocation);
+        if let Some(d) = deferred.get() {
+            discard(root);
+            return Ok(Err(d));
+        }
+        if let Some((_, hit)) = view {
+            self.count_view(hit);
+        }
         self.queries.incr();
         self.query_ns.record_since(start);
-        Ok(CampaignAnswer {
+        Ok(Ok(CampaignAnswer {
             algorithm,
             allocation,
             sp: q.sp.clone(),
             welfare,
             elapsed: start.elapsed(),
-        })
+        }))
     }
 
-    /// Answer a batch of independent queries across `threads` workers
-    /// (0 = one per core). Answers come back in query order; the pool
-    /// selection, index, and welfare cache are shared by all workers.
+    /// Answer a batch of independent queries; answers come back in query
+    /// order. Entries the caches cover are answered on the calling
+    /// thread; the rest run across up to `threads` workers (0 = one per
+    /// core) sharing the pool selection, index, and welfare cache.
     pub fn query_batch(
         &self,
         queries: &[CampaignQuery],
@@ -425,132 +547,127 @@ impl CampaignEngine {
         if let Some(sp) = batch_span.as_mut() {
             sp.attr("queries", queries.len() as u64);
         }
-        let trace_scope = batch_span.as_ref().map(|s| s.scope());
-        // materialize the pool up front so workers never race the OnceLock
-        // initialization work (get_or_init would serialize them anyway —
-        // this just keeps the first query's latency out of every worker).
-        // An all-follow-up batch never needs the fresh pool — don't pay
-        // the budget-cap selection for it. A pool failure surfaces
-        // per-query below, not here.
+        let scope = batch_span.as_ref().map(|s| s.scope());
+        // select the pool once, here, so that workers do not queue on its
+        // mutex behind the first of them. An all-follow-up batch never
+        // needs the fresh pool — don't pay the budget-cap selection for
+        // it. A pool failure surfaces per-query below, not here.
         if queries.iter().any(|q| q.sp.is_empty()) {
             let _ = self.pool();
         }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(queries.len());
-        let mut results: Vec<Option<Result<CampaignAnswer, EngineError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let slots: Vec<(usize, &CampaignQuery)> = queries.iter().enumerate().collect();
-        let chunk = slots.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (shard, out) in slots.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for ((_, q), slot) in shard.iter().zip(out.iter_mut()) {
-                        *slot = Some(self.query_traced(q, trace_scope));
-                    }
-                });
+        let mut results: Vec<Option<Result<CampaignAnswer, EngineError>>> = queries
+            .iter()
+            .map(|q| match self.answer(q, scope, Some(Deferred)) {
+                Ok(Ok(answer)) => Some(Ok(answer)),
+                Ok(Err(Deferred)) => None,
+                Err(e) => Some(Err(e)),
+            })
+            .collect();
+        let mut deferred: Vec<_> = queries
+            .iter()
+            .zip(results.iter_mut())
+            .filter(|(_, slot)| slot.is_none())
+            .collect();
+        let compute = |part: &mut [(&CampaignQuery, &mut Option<_>)]| {
+            for (q, slot) in part {
+                **slot = Some(self.query_traced(q, scope));
             }
-        });
+        };
+        // the core count is a file read on Linux: look it up only when
+        // there is a residue to share out
+        let threads = match (deferred.len(), threads) {
+            (0 | 1, _) => 1,
+            (n, 0) => std::thread::available_parallelism().map_or(1, |t| t.get().min(n)),
+            (n, t) => t.min(n),
+        };
+        if threads == 1 {
+            compute(&mut deferred);
+        } else {
+            let chunk = deferred.len().div_ceil(threads);
+            std::thread::scope(|workers| {
+                for part in deferred.chunks_mut(chunk) {
+                    self.batch_workers.incr();
+                    workers.spawn(move || compute(part));
+                }
+            });
+        }
         self.batch_ns.record_since(batch_start);
         results
             .into_iter()
-            // lint:allow(no-panic-in-serving) -- the scoped workers above fill every slot before the scope joins; an empty slot is a local logic bug
-            .map(|r| r.expect("every slot filled by its worker"))
+            // lint:allow(no-panic-in-serving) -- the first pass fills a slot or defers it, and every deferred slot is filled before the scope joins; an empty slot is a local logic bug
+            .map(|r| r.expect("every slot filled by the first pass or the residue"))
             .collect()
     }
 
-    /// Cached Monte-Carlo welfare of `alloc` under the query's model/sim.
+    /// Cached Monte-Carlo welfare of `alloc` under the query's model/sim;
+    /// `defer` handed back when the cache does not hold it.
     /// Traced as one `engine.welfare` span per evaluation, with the
     /// cache outcome attached (a BestOf query legitimately emits
     /// several).
-    fn evaluate(
+    fn evaluate<D>(
         &self,
         problem: &Problem,
         model_fp: u64,
         alloc: &Allocation,
         scope: Option<TraceScope<'_>>,
-    ) -> f64 {
-        self.welfare_evals.incr();
-        let mut h = DefaultHasher::new();
-        model_fp.hash(&mut h);
-        alloc.pairs().hash(&mut h);
-        problem.sim.samples.hash(&mut h);
-        problem.sim.base_seed.hash(&mut h);
-        let key = h.finish();
+        defer: Option<D>,
+    ) -> Result<f64, D> {
+        let asked = WelfareKey {
+            model_fp,
+            pairs: Cow::Borrowed(alloc.pairs()),
+            samples: problem.sim.samples,
+            base_seed: problem.sim.base_seed,
+        };
+        let hash = asked.hash64();
         let mut span = scope.map(|s| s.span("engine.welfare"));
-        if let Some(&w) = crate::lock_recover(&self.cache).get(&key) {
+        let cached = {
+            let mut cache = crate::lock_recover(&self.cache);
+            welfare_lookup(&mut cache, hash, &asked)
+        };
+        if let Cached::Hit(w) = cached {
+            self.welfare_evals.incr();
             self.welfare_cache_hits.incr();
             if let Some(sp) = span.as_mut() {
                 sp.attr("cache_hit", true);
             }
-            return w;
+            return Ok(w);
         }
+        if let Some(d) = defer {
+            discard(span);
+            return Err(d);
+        }
+        self.welfare_evals.incr();
         self.welfare_cache_misses.incr();
         if let Some(sp) = span.as_mut() {
             sp.attr("cache_hit", false);
         }
         let est = WelfareEstimator::new(&self.graph, &problem.model, problem.sim);
         let w = est.welfare(alloc);
-        if crate::lock_recover(&self.cache).insert(key, w).is_some() {
-            self.cache_evictions.incr();
+        if cached == Cached::Absent {
+            let held = WelfareKey {
+                model_fp,
+                pairs: Cow::Owned(alloc.pairs().to_vec()),
+                samples: asked.samples,
+                base_seed: asked.base_seed,
+            };
+            if crate::lock_recover(&self.cache)
+                .insert(hash, (held, w))
+                .is_some()
+            {
+                self.cache_evictions.incr();
+            }
         }
-        w
+        Ok(w)
     }
 }
 
-/// A stable 64-bit fingerprint of a utility model, via its canonical serde
-/// value tree (`BTreeMap`-backed objects make traversal order, and hence
-/// the fingerprint, deterministic).
+/// A 64-bit fingerprint of a utility model: the hash of every
+/// parameter's bit pattern (`UtilityModel::hash_bits`), stable within a
+/// process and across processes of one build.
 pub fn model_fingerprint(model: &cwelmax_utility::UtilityModel) -> u64 {
     let mut h = DefaultHasher::new();
-    hash_value(&model.to_value(), &mut h);
+    model.hash_bits(&mut h);
     h.finish()
-}
-
-fn hash_value(v: &Value, h: &mut DefaultHasher) {
-    match v {
-        Value::Null => 0u8.hash(h),
-        Value::Bool(b) => {
-            1u8.hash(h);
-            b.hash(h);
-        }
-        Value::Int(i) => {
-            2u8.hash(h);
-            i.hash(h);
-        }
-        Value::UInt(u) => {
-            3u8.hash(h);
-            u.hash(h);
-        }
-        Value::Float(f) => {
-            4u8.hash(h);
-            f.to_bits().hash(h);
-        }
-        Value::String(s) => {
-            5u8.hash(h);
-            s.hash(h);
-        }
-        Value::Array(a) => {
-            6u8.hash(h);
-            a.len().hash(h);
-            for x in a {
-                hash_value(x, h);
-            }
-        }
-        Value::Object(m) => {
-            7u8.hash(h);
-            m.len().hash(h);
-            for (k, x) in m {
-                k.hash(h);
-                hash_value(x, h);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -700,28 +817,141 @@ mod tests {
         assert_eq!(s.conditioned_hits, 0);
     }
 
+    /// Positional equality of two result lists: allocation, welfare bits
+    /// and algorithm where both answered, the message where both failed.
+    fn assert_same_results(
+        got: &[Result<CampaignAnswer, EngineError>],
+        want: &[Result<CampaignAnswer, EngineError>],
+    ) {
+        assert_eq!(got.len(), want.len());
+        for (k, pair) in got.iter().zip(want).enumerate() {
+            match pair {
+                (Ok(g), Ok(w)) => {
+                    assert_eq!(g.allocation, w.allocation, "entry {k}");
+                    assert_eq!(g.welfare.to_bits(), w.welfare.to_bits(), "entry {k}");
+                    assert_eq!(g.algorithm, w.algorithm, "entry {k}");
+                    assert_eq!(g.sp, w.sp, "entry {k}");
+                }
+                (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "entry {k}"),
+                (g, w) => panic!("entry {k}: batch {g:?} vs serial {w:?}"),
+            }
+        }
+    }
+
     #[test]
     fn batch_matches_serial_in_order() {
-        let e = engine(120, 500, 11, 8);
-        let queries: Vec<CampaignQuery> = [
-            (QueryAlgorithm::SeqGrdNm, TwoItemConfig::C1, 2),
-            (QueryAlgorithm::MaxGrd, TwoItemConfig::C2, 3),
-            (QueryAlgorithm::SeqGrdNm, TwoItemConfig::C3, 4),
-            (QueryAlgorithm::BestOf, TwoItemConfig::C4, 2),
-            (QueryAlgorithm::SeqGrd, TwoItemConfig::C1, 1),
-        ]
-        .into_iter()
-        .map(|(a, c, b)| query(a, c, b))
-        .collect();
-        let serial: Vec<_> = queries
-            .iter()
-            .map(|q| e.query(q).unwrap().allocation)
-            .collect();
-        let batch = e.query_batch(&queries, 3);
-        assert_eq!(batch.len(), queries.len());
-        for (got, want) in batch.into_iter().zip(serial) {
-            assert_eq!(got.unwrap().allocation, want);
+        // twins over the same index: one answers one by one, the other
+        // in batches; answers and every counter must agree throughout
+        let serial = engine(120, 500, 11, 8);
+        let batched = engine(120, 500, 11, 8);
+        let nm = |c, b| query(QueryAlgorithm::SeqGrdNm, c, b);
+        let one_by_one =
+            |qs: &[CampaignQuery]| qs.iter().map(|q| serial.query(q)).collect::<Vec<_>>();
+
+        // all cold, two threads: nothing is answered inline and the
+        // residue still fans out over two workers
+        let hot = [
+            nm(TwoItemConfig::C1, 2),
+            nm(TwoItemConfig::C3, 4),
+            nm(TwoItemConfig::C2, 1).with_sp(Allocation::from_pairs(vec![(3, 1)])),
+        ];
+        assert_same_results(&batched.query_batch(&hot, 2), &one_by_one(&hot));
+        assert_eq!(batched.batch_workers.get(), 2);
+        assert_eq!(batched.stats(), serial.stats());
+
+        // all warm: answered on the caller, no worker spawned whatever
+        // `threads` says, and each query counted exactly once
+        assert_same_results(&batched.query_batch(&hot, 0), &one_by_one(&hot));
+        assert_eq!(
+            batched.batch_workers.get(),
+            2,
+            "a warm batch spawns nothing"
+        );
+        assert_eq!(batched.stats(), serial.stats());
+        assert_eq!(batched.stats().queries, 6);
+        assert_eq!(batched.stats().welfare_evals, 6);
+        assert_eq!(batched.stats().welfare_cache_hits, 3);
+        assert_eq!(batched.stats().conditioned_hits, 1);
+
+        // mixed: warm hits around a novel Monte-Carlo seed, solvers that
+        // simulate, an uncached SP and a query the engine rejects
+        let mut novel = nm(TwoItemConfig::C1, 2);
+        novel.sim.base_seed = 0xD1FF;
+        let mixed = [
+            hot[0].clone(),
+            novel,
+            query(QueryAlgorithm::MaxGrd, TwoItemConfig::C2, 3),
+            nm(TwoItemConfig::C4, 2).with_sp(Allocation::from_pairs(vec![(9, 0)])),
+            nm(TwoItemConfig::C1, 5), // Σ = 10 > cap 8
+            hot[2].clone(),
+            query(QueryAlgorithm::BestOf, TwoItemConfig::C4, 2),
+            query(QueryAlgorithm::SeqGrd, TwoItemConfig::C1, 1),
+        ];
+        let got = batched.query_batch(&mixed, 3);
+        assert!(matches!(got[4], Err(EngineError::BadQuery(_))));
+        assert_same_results(&got, &one_by_one(&mixed));
+        // five deferred entries over three threads: chunks of two
+        assert_eq!(batched.batch_workers.get(), 2 + 3);
+        assert_eq!(batched.stats(), serial.stats());
+        assert_eq!(batched.stats().queries, 6 + 7);
+
+        // a residue of one runs on the caller
+        let mut lone = nm(TwoItemConfig::C2, 2);
+        lone.sim.base_seed = 0xA10E;
+        let last = [hot[1].clone(), lone];
+        assert_same_results(&batched.query_batch(&last, 0), &one_by_one(&last));
+        assert_eq!(batched.batch_workers.get(), 2 + 3);
+        assert_eq!(batched.stats(), serial.stats());
+    }
+
+    #[test]
+    fn welfare_cache_hit_is_confirmed_by_key_material() {
+        let key = |pairs: &'static [(NodeId, ItemId)]| WelfareKey {
+            model_fp: 1,
+            pairs: Cow::Borrowed(pairs),
+            samples: 100,
+            base_seed: 7,
+        };
+        let mut cache = WelfareCache::new(4);
+        cache.insert(42, (key(&[(3, 0)]), 10.5));
+        assert_eq!(
+            welfare_lookup(&mut cache, 42, &key(&[(3, 0)])),
+            Cached::Hit(10.5)
+        );
+        // another allocation arriving under the same 64-bit hash
+        assert_eq!(
+            welfare_lookup(&mut cache, 42, &key(&[(4, 0)])),
+            Cached::Collision
+        );
+        assert_eq!(
+            welfare_lookup(&mut cache, 43, &key(&[(3, 0)])),
+            Cached::Absent
+        );
+
+        // end to end: plant a foreign entry where a query's key hashes;
+        // the query must compute its own welfare, every time, and leave
+        // the resident entry alone
+        let twin = engine(100, 400, 9, 6);
+        let e = engine(100, 400, 9, 6);
+        let q = query(QueryAlgorithm::SeqGrdNm, TwoItemConfig::C1, 2);
+        let want = twin.query(&q).unwrap();
+        let hash = WelfareKey {
+            model_fp: model_fingerprint(&q.model),
+            pairs: Cow::Borrowed(want.allocation.pairs()),
+            samples: q.sim.samples,
+            base_seed: q.sim.base_seed,
         }
+        .hash64();
+        crate::lock_recover(&e.cache).insert(hash, (key(&[(3, 0)]), -1.0));
+        for _ in 0..2 {
+            let got = e.query(&q).unwrap();
+            assert_eq!(got.welfare.to_bits(), want.welfare.to_bits());
+        }
+        assert_eq!(e.stats().welfare_cache_hits, 0);
+        assert_eq!(
+            welfare_lookup(&mut crate::lock_recover(&e.cache), hash, &key(&[(3, 0)])),
+            Cached::Hit(-1.0)
+        );
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! * [`CampaignEngine`] — loads a graph + index once and answers many
 //!   allocation queries (budgets × utility configs × algorithm choice ×
 //!   optional `SP`) over the shared index **without resampling**, with a
-//!   welfare-evaluation cache and parallel batch execution;
+//!   welfare-evaluation cache, and batches whose cache-covered entries are
+//!   answered inline while the rest run in parallel;
 //! * [`EngineBuilder`] — the **one** way to assemble an engine: pick a
 //!   source (`from_snapshot` / `from_index` / `from_backend`, or
 //!   `cwelmax-store`'s `from_journaled_store` extension), set cache

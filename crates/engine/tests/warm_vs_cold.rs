@@ -357,14 +357,33 @@ fn followup_batches_and_bulk_prewarm_avoid_fresh_pool_and_eviction() {
         mk(Allocation::from_pairs([(1u32, 1usize)])),
         mk(Allocation::from_pairs([(2u32, 1usize)])),
     ];
-    for r in engine.query_batch(&batch, 2) {
-        r.unwrap();
-    }
+    let workers = || engine.metrics().snapshot().counters["engine.batch_workers"];
+    let cold: Vec<_> = engine
+        .query_batch(&batch, 2)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
     assert_eq!(
         engine.stats().pool_selections,
         0,
         "an all-follow-up batch must not select the fresh pool"
     );
+    assert_eq!(workers(), 2, "two uncached views derive on two workers");
+
+    // the same batch again is all cached views and cached welfare: it is
+    // answered on the calling thread, bit-identically, each entry counted
+    // once (a deferred probe would show as a third hit or evaluation)
+    let warm = engine.query_batch(&batch, 2);
+    assert_eq!(workers(), 2, "a warm batch spawns no worker");
+    for (w, c) in warm.iter().zip(&cold) {
+        let w = w.as_ref().unwrap();
+        assert_eq!(w.allocation, c.allocation);
+        assert_eq!(w.welfare.to_bits(), c.welfare.to_bits());
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.queries, 4);
+    assert_eq!((stats.conditioned_views, stats.conditioned_hits), (2, 2));
+    assert_eq!((stats.welfare_evals, stats.welfare_cache_hits), (4, 2));
 
     // 40 persisted views (> default cap 32) all pre-warm without eviction
     let views: Vec<Vec<u32>> = (0..40u32).map(|k| vec![k, k + 100]).collect();

@@ -297,6 +297,15 @@ impl<'a> SpanGuard<'a> {
     }
 }
 
+impl SpanGuard<'_> {
+    /// Close the span without recording it — for a probe that turned out
+    /// not to be the work the span names.
+    pub fn discard(self) {
+        let mut span = std::mem::ManuallyDrop::new(self);
+        drop(std::mem::take(&mut span.attrs));
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let record = SpanRecord {

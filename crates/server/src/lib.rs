@@ -32,8 +32,9 @@
 //! [`CampaignServer::with_max_conns`] caps concurrent connections:
 //! arrivals past the cap get one JSON "server busy" line and a close
 //! instead of an unbounded worker thread. Malformed input of any kind is
-//! answered with a JSON error line; it never terminates the connection,
-//! let alone the process.
+//! answered with a JSON error line; it never terminates the process, and
+//! the connection only when the line never ends: past
+//! [`MAX_REQUEST_LINE_BYTES`] the peer gets its error line and a close.
 //!
 //! ```no_run
 //! use cwelmax_engine::CampaignEngine;
@@ -56,7 +57,7 @@ use cwelmax_obs::{
     TraceBuffer, TraceCtx, TraceIdGen,
 };
 use serde::{Map, Serialize, Value};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -70,6 +71,17 @@ pub const DEFAULT_TRACE_BUFFER: usize = 256;
 /// order of a request round-trip, so a fixed small hint beats anything
 /// derived from load at the refusal instant.
 pub const BUSY_RETRY_AFTER_MS: u64 = 100;
+
+/// Longest request line the server reads, newline excluded. The largest
+/// legitimate line is a batch of inline-config queries at well under a
+/// kilobyte each, so 4 MiB is thousands of entries; a peer that streams
+/// past it gets one `bad-request` error line and a closed connection
+/// instead of an allocation that grows until it sends a newline.
+pub const MAX_REQUEST_LINE_BYTES: usize = 4 << 20;
+
+/// What a connection's line buffers may keep between requests: one large
+/// request does not pin its capacity for the connection's life.
+const RETAINED_BUFFER_BYTES: usize = 64 << 10;
 
 /// The sliding latency window v2 stats report percentiles over: 12
 /// intervals of 5 s. Lifetime percentiles converge and stop moving on a
@@ -531,11 +543,16 @@ fn refuse_busy(shared: &Shared, stream: TcpStream) {
     let mut text = wire::to_line(&body);
     text.push('\n');
     let _ = (&stream).write_all(text.as_bytes());
-    // Closing with the peer's `hello` still unread makes the kernel answer
-    // with RST, which can discard the refusal before the peer reads it.
-    // Half-close instead and drain until the peer hangs up — bounded, so a
-    // silent peer holds the accept loop no longer than the back-off the
-    // refusal itself asks for.
+    close_after_refusal(&stream);
+}
+
+/// Close a connection whose peer may still be sending, after the refusal
+/// line is written. Closing with the peer's bytes still unread makes the
+/// kernel answer with RST, which can discard the refusal before the peer
+/// reads it. Half-close instead and drain until the peer hangs up —
+/// bounded, so a silent or endless peer holds the thread no longer than
+/// the back-off a busy refusal itself asks for.
+fn close_after_refusal(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + Duration::from_millis(BUSY_RETRY_AFTER_MS);
     let mut sink = [0u8; 512];
@@ -544,7 +561,7 @@ fn refuse_busy(shared: &Shared, stream: TcpStream) {
         if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             break;
         }
-        match (&stream).read(&mut sink) {
+        match (&*stream).read(&mut sink) {
             Ok(n) if n > 0 => {}
             _ => break,
         }
@@ -552,10 +569,12 @@ fn refuse_busy(shared: &Shared, stream: TcpStream) {
 }
 
 /// One connection: read request lines, write response lines, until EOF,
-/// an unrecoverable socket error, or shutdown.
+/// an unrecoverable socket error, an outsized line, or shutdown. One
+/// line buffer serves every request of the connection, and each response
+/// goes to the socket as one write that already ends in its newline.
 fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
     let log = shared.logger();
-    let reader = BufReader::new(match stream.try_clone() {
+    let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
             log.warn("conn_clone_failed", &[("conn", conn_id.to_value())]);
@@ -563,11 +582,19 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
         }
     });
     log.debug("conn_open", &[("conn", conn_id.to_value())]);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
+    let mut line = String::new();
     let mut req_no = 0u64;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
+    loop {
+        line.clear();
+        line.shrink_to(RETAINED_BUFFER_BYTES);
+        // `read_line` alone reads until a newline, however far away: the
+        // cap (+ 1, for the newline of a line of exactly the cap) is put
+        // on the reader it draws from
+        let mut capped = (&mut reader).take(MAX_REQUEST_LINE_BYTES as u64 + 1);
+        let read = match capped.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(n) => n,
             Err(e) => {
                 // connection reset / shutdown mid-read
                 log.warn(
@@ -580,14 +607,26 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
                 break;
             }
         };
-        // +1 for the newline `lines()` stripped
-        shared.bytes_read.add(line.len() as u64 + 1);
+        shared.bytes_read.add(read as u64);
         if line.trim().is_empty() {
             continue; // blank keep-alive lines are not requests
         }
         req_no += 1;
         let start = Instant::now();
-        let (response, is_shutdown, label) = handle_line(shared, &line);
+        let outsized = read > MAX_REQUEST_LINE_BYTES && !line.ends_with('\n');
+        let (response, is_shutdown, label) = if outsized {
+            shared.errors.incr();
+            shared.parse_errors.incr();
+            let err = WireError::bad_request(format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+            ));
+            // the dialect of a line that was never parsed is unknown: v1,
+            // as for every other line that never parsed
+            let body = wire::wire_error_response(&err, Protocol::V1);
+            (body, false, "invalid")
+        } else {
+            handle_line(shared, &line)
+        };
         let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         shared.requests.incr();
         shared.request_ns.of(label).record(elapsed_ns);
@@ -609,6 +648,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
             break;
         }
         shared.bytes_written.add(text.len() as u64);
+        if outsized {
+            log.warn("conn_line_too_long", &[("conn", conn_id.to_value())]);
+            close_after_refusal(&writer);
+            break;
+        }
         if is_shutdown {
             shared.shutdown();
             break;
@@ -669,9 +713,10 @@ fn handle_line(shared: &Shared, line: &str) -> (Value, bool, &'static str) {
         }
         RequestKind::Batch(entries) => {
             let ctx = trace_ctx(shared, request.trace);
-            // run the parseable entries through the engine's parallel
-            // batch path, then re-interleave with the parse errors so the
-            // response is positional
+            // run the parseable entries through the engine's batch path
+            // (warm entries on this thread, the rest on workers), then
+            // re-interleave with the parse errors so the response is
+            // positional
             let runnable: Vec<_> = entries.iter().filter_map(|r| r.clone().ok()).collect();
             let batch_answers = {
                 let root = ctx.as_ref().map(|c| c.root().span("server.batch"));

@@ -233,6 +233,44 @@ fn malformed_requests_get_error_responses_and_the_connection_survives() {
 }
 
 #[test]
+fn a_line_past_the_cap_is_refused_and_the_connection_closed() {
+    use cwelmax_server::MAX_REQUEST_LINE_BYTES as CAP;
+    let (handle, join) = start(engine());
+    let bytes_read = || handle.metrics().snapshot().counters["server.bytes_read"];
+
+    // a request of exactly the cap (newline not counted) is still served
+    let mut c = Client::connect(&handle);
+    let head = r#"{"config": "C1", "budgets": [3, 3], "samples": 100, "pad": ""#;
+    let line = format!("{head}{}\"}}", "x".repeat(CAP - head.len() - 2));
+    assert_eq!(line.len(), CAP);
+    assert!(ok(&c.roundtrip(&line)));
+    assert_eq!(bytes_read(), CAP as u64 + 1);
+    drop(c);
+
+    // a peer streaming newline-free bytes past the cap gets one error
+    // line and an EOF; the server stopped buffering at cap + 1 bytes
+    let mut c = Client::connect(&handle);
+    let chunk = vec![b'x'; 64 << 10];
+    for _ in 0..CAP / chunk.len() + 1 {
+        c.writer.write_all(&chunk).unwrap();
+    }
+    let r = c.recv();
+    assert!(!ok(&r));
+    assert!(error_text(&r).contains("exceeds"), "{r:?}");
+    let mut rest = String::new();
+    assert_eq!(c.reader.read_line(&mut rest).unwrap(), 0, "must be closed");
+    assert_eq!(bytes_read(), 2 * (CAP as u64 + 1));
+
+    // the next connection is served normally
+    let mut c = Client::connect(&handle);
+    assert!(ok(&c.roundtrip(Q1)));
+    let stats = handle.stats();
+    assert_eq!((stats.requests, stats.queries, stats.errors), (3, 2, 1));
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn warm_repeat_query_is_served_from_cache() {
     let (handle, join) = start(engine());
     let mut c = Client::connect(&handle);
@@ -322,6 +360,50 @@ fn batch_envelope_answers_all_queries_on_one_line() {
     assert_eq!(stats.requests, 1);
     assert_eq!(stats.queries, 2);
     assert_eq!(stats.errors, 1);
+    // Q1's welfare was cached above, Q2 is MaxGRD and simulates in its
+    // solver: one warm entry answered inline, a residue of one run on the
+    // connection's own thread
+    let workers = || handle.metrics().snapshot().counters["engine.batch_workers"];
+    assert_eq!(workers(), 0);
+
+    // a mixed batch answers entry for entry what the same lines answer
+    // one at a time: warm hits, a Monte-Carlo seed nobody has asked, a
+    // solver that simulates, an uncached SP, a line that does not parse
+    // and a query the engine rejects
+    let entries = [
+        Q1.to_string(),
+        r#"{"config": "C1", "budgets": [3, 3], "samples": 100, "seed": 99}"#.to_string(),
+        Q2.to_string(),
+        r#"{"config": "C3", "budgets": [2, 2], "sp": [[5, 1]], "samples": 100}"#.to_string(),
+        r#"{"config": "C7", "budgets": [1, 1]}"#.to_string(),
+        r#"{"config": "C1", "budgets": [50, 50], "samples": 50}"#.to_string(),
+        Q1.to_string(),
+    ];
+    let r = c.roundtrip(&format!(
+        r#"{{"type": "batch", "queries": [{}]}}"#,
+        entries.join(", ")
+    ));
+    assert!(ok(&r), "{r:?}");
+    // a residue of three (novel seed, MaxGRD, uncached SP) over one
+    // worker per core: chunks of two on two cores, inline on one
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(workers(), if cores == 1 { 0 } else { cores.min(3) as u64 });
+    let answers = r.as_object().unwrap()["answers"].as_array().unwrap();
+    assert_eq!(answers.len(), entries.len());
+    for (k, (entry, got)) in entries.iter().zip(answers).enumerate() {
+        let single = c.roundtrip(entry);
+        let (single, got) = (single.as_object().unwrap(), got.as_object().unwrap());
+        for field in ["ok", "algorithm", "allocation", "sp", "welfare"] {
+            assert_eq!(got.get(field), single.get(field), "entry {k}: {field}");
+        }
+        if k == 4 {
+            // only the batch names the position of a line it could not parse
+            assert!(error_text(&answers[k]).contains("query 4: unknown named config"));
+        } else {
+            assert_eq!(got.get("error"), single.get("error"), "entry {k}");
+        }
+    }
+    assert!(error_text(&answers[5]).contains("budget-cap"));
     handle.shutdown();
     join.join().unwrap();
 }

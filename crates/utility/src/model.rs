@@ -8,6 +8,7 @@ use crate::value::TableValue;
 use crate::world::NoiseWorld;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// The model parameters `Param = (V, P, {D_i})` of §3.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,6 +78,22 @@ impl UtilityModel {
             })
             .collect();
         UtilityModel::new(TableValue::from_table(num_items, values), prices, noise)
+    }
+
+    /// Feed the bit pattern of every parameter to `h`: two models hash
+    /// alike only if they agree to the last bit, which is what a cache of
+    /// results computed from the model keys on. Not `Hash` — `0.0` and
+    /// `-0.0` are equal and hash apart. The destructuring is exhaustive
+    /// here and in the parts, so a new field cannot be left out silently.
+    pub fn hash_bits(&self, h: &mut impl Hasher) {
+        let UtilityModel {
+            value,
+            prices,
+            noise,
+        } = self;
+        value.hash_bits(h);
+        prices.iter().for_each(|p| p.to_bits().hash(h));
+        noise.iter().for_each(|n| n.hash_bits(h));
     }
 
     /// Number of items `m = |𝓘|`.

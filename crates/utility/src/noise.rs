@@ -10,6 +10,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// A zero-mean noise distribution attached to one item.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,6 +85,18 @@ impl NoiseDist {
                 simpson(f, -bound, bound, 4096)
             }
         }
+    }
+
+    /// Feed the variant and its parameters' bit patterns to `h` (see
+    /// `UtilityModel::hash_bits`).
+    pub(crate) fn hash_bits(&self, h: &mut impl Hasher) {
+        let (tag, a, b) = match *self {
+            NoiseDist::None => (0u8, 0.0, 0.0),
+            NoiseDist::Normal { std } => (1, std, 0.0),
+            NoiseDist::Uniform { half_width } => (2, half_width, 0.0),
+            NoiseDist::TruncatedNormal { std, bound } => (3, std, bound),
+        };
+        (tag, a.to_bits(), b.to_bits()).hash(h);
     }
 
     /// An upper bound on `|N|`, if the distribution is bounded. `None` for

@@ -9,6 +9,7 @@
 
 use crate::itemset::{all_itemsets, ItemSet, MAX_ITEMS};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Tolerance used by the structural checkers.
 const EPS: f64 = 1e-9;
@@ -156,6 +157,14 @@ impl TableValue {
     /// Expose the raw table (read-only).
     pub fn table(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Feed every parameter's bit pattern to `h` (see
+    /// `UtilityModel::hash_bits`).
+    pub(crate) fn hash_bits(&self, h: &mut impl Hasher) {
+        let TableValue { num_items, values } = self;
+        num_items.hash(h);
+        values.iter().for_each(|v| v.to_bits().hash(h));
     }
 }
 

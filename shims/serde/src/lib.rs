@@ -9,6 +9,7 @@
 //! single-key objects (externally tagged), `Duration` as
 //! `{"secs", "nanos"}`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -89,11 +90,25 @@ impl std::error::Error for Error {}
 /// Lower `self` into a [`Value`].
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// `self` as a tree to read from: a [`Value`] lends itself, every
+    /// other type lowers first. What an emitter walks, so that writing
+    /// out a tree does not start by copying it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Lift `Self` from a [`Value`].
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Lift from a tree the caller is done with: a [`Value`] is the tree
+    /// itself, every other type reads it. What a parser hands its result
+    /// to, so that parsing to a tree does not end by copying it.
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
 }
 
 /// Fetch and deserialize a struct field; missing keys read as `Null` so
@@ -298,11 +313,19 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Value, Error> {
         Ok(v.clone())
+    }
+
+    fn from_owned(v: Value) -> Result<Value, Error> {
+        Ok(v)
     }
 }
 

@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 pub use serde::{Error, Map, Value};
+use std::fmt::Write as _;
 
 /// Result alias matching the real crate's shape.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -15,38 +16,48 @@ pub fn to_value<T: Serialize + ?Sized>(x: &T) -> Value {
 /// Serialize to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(x: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&x.to_value(), &mut out, None, 0);
+    write_value(&x.as_value(), &mut out, None, 0);
     Ok(out)
 }
 
 /// Serialize to pretty-printed JSON text (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(x: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&x.to_value(), &mut out, Some(2), 0);
+    write_value(&x.as_value(), &mut out, Some(2), 0);
     Ok(out)
 }
 
 /// Deserialize from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let v = parse_value(s)?;
-    T::from_value(&v)
+    T::from_owned(parse_value(s)?)
 }
 
 // ------------------------------------------------------------------ emitter
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // everything that needs an escape is ASCII, so the runs between
+    // escapes are copied whole and every split is a char boundary
+    let mut run = 0;
+    for (k, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..k]);
+        run = k + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            // writing to a `String` cannot fail
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -63,15 +74,20 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        // numbers go straight into `out`; writing to a `String` cannot fail
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // always include a decimal point or exponent so the value
                 // re-parses as a float
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                let start = out.len();
+                let _ = write!(out, "{f}");
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -316,13 +332,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 character
+                    // copy the whole run up to the next delimiter: both
+                    // are ASCII, so the run is a char-boundary slice of
+                    // the `&str` the input arrived as
                     let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(
+                        std::str::from_utf8(&rest[..run])
+                            .map_err(|_| Error::custom("invalid UTF-8"))?,
+                    );
+                    self.pos += run;
                 }
             }
         }
@@ -421,6 +443,96 @@ mod tests {
         let s = to_string(&x).unwrap();
         let back: u64 = from_str(&s).unwrap();
         assert_eq!(back, x);
+    }
+
+    #[test]
+    fn strings_roundtrip_through_every_escape_and_char_width() {
+        // every escape the emitter writes, one to four byte characters,
+        // and the characters the parser alone accepts escaped (`/`, \b, \f)
+        let parts = [
+            "", "a", "\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}", "\u{1}", "\u{1f}",
+            "\u{7f}", "é", "日本", "😀",
+        ];
+        // all triples: each part first, last, alone and beside each other
+        for a in parts {
+            for b in parts {
+                for c in parts {
+                    let s = format!("{a}{b}{c}");
+                    let text = to_string(&s).unwrap();
+                    assert_eq!(from_str::<String>(&text).unwrap(), s, "{text}");
+                    // as an object key and value, after other members
+                    let mut m = Map::new();
+                    m.insert(s.clone(), Value::String(s.clone()));
+                    let v = Value::Object(m);
+                    assert_eq!(parse_value(&to_string(&v).unwrap()).unwrap(), v);
+                }
+            }
+        }
+        assert_eq!(
+            to_string("a\"b\\c\n\r\t\u{1}\u{1f}é/").unwrap(),
+            r#""a\"b\\c\n\r\t\u0001\u001fé/""#
+        );
+        assert_eq!(
+            from_str::<String>(r#""\u00e9\/\b\f\u65E5x\u0041""#).unwrap(),
+            "é/\u{8}\u{c}日xA"
+        );
+        for bad in [
+            r#""\u12""#,
+            r#""\uzzzz""#,
+            r#""\ud800""#,
+            r#""\x""#,
+            r#""abc"#,
+            "\"\\",
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn numbers_are_emitted_as_the_wire_goldens_have_them() {
+        for (x, want) in [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (1.0, "1.0"),
+            (41.5, "41.5"),
+            (500.6525294997645, "500.6525294997645"),
+            (0.000015064, "0.000015064"),
+            (1e21, "1000000000000000000000.0"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+        ] {
+            assert_eq!(to_string(&Value::Float(x)).unwrap(), want);
+        }
+        assert_eq!(
+            to_string(&Value::Int(i64::MIN)).unwrap(),
+            "-9223372036854775808"
+        );
+        assert_eq!(
+            to_string(&Value::UInt(u64::MAX)).unwrap(),
+            "18446744073709551615"
+        );
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        // numbers land after other output, not at the start of the buffer
+        assert_eq!(
+            to_string(&json!({"a": 7.0f64, "b": vec![2u32, 3]})).unwrap(),
+            r#"{"a":7.0,"b":[2,3]}"#
+        );
+    }
+
+    #[test]
+    fn a_two_mebibyte_string_parses_in_linear_time() {
+        // one validation pass per character of the *remaining input* made
+        // this some 2·10¹² byte checks — minutes; no clock needed to notice
+        let big = "é".repeat(1 << 20);
+        let text = format!(r#"{{"pad": "{big}", "after": 1}}"#);
+        let v: Value = from_str(&text).unwrap();
+        let m = v.as_object().unwrap();
+        assert_eq!(m["pad"].as_str().map(str::len), Some(2 << 20));
+        assert_eq!(m["after"], Value::Int(1));
+        assert_eq!(
+            to_string(&v).unwrap().len(),
+            r#"{"after":1,"pad":""}"#.len() + (2 << 20)
+        );
     }
 
     #[test]
