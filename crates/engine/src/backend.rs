@@ -93,7 +93,7 @@ pub trait IndexBackend: Send + Sync {
 
     /// Derive the SP-conditioned view for `sp_nodes` (unsorted, possibly
     /// with duplicates — implementations canonicalize), hanging any
-    /// storage-side spans (shard faults, per-shard filtering) under
+    /// storage-side spans (shard faults) under
     /// `scope`. The engine caches the result; implementations only build
     /// it. This is the required method, so a backend with real I/O
     /// cannot lose its spans by forgetting an override; an in-memory

@@ -6,18 +6,21 @@
 //! But marginal sampling is just standard sampling plus a filter: an RR set
 //! that touches `SP` is zeroed, one that doesn't is **bit-identical** to
 //! its standard counterpart (`cwelmax_rrset::condition_parts` documents and
-//! tests the identity). So a follow-up can be served from the frozen
-//! standard index with *zero resampling*:
+//! tests the identity). And to a greedy selection a zeroed set is simply a
+//! set that is covered before the first pick. So a follow-up is served
+//! from the frozen standard index with *zero resampling and zero copying*:
 //!
-//! 1. [`ConditionedView::derive`] filters the base index's canonical parts
-//!    against `SP`'s node set (θ is preserved — the estimator becomes the
-//!    marginal estimator, exactly as `prima_plus` scores it) and freezes
-//!    the survivors into an inner [`RrIndex`];
-//! 2. the view runs one ordered greedy selection at the base budget cap —
-//!    prefix preservation then serves every follow-up budget `≤ cap`;
+//! 1. [`ConditionedView::derive`] marks the sets `SP` touches by walking
+//!    the postings of SP's nodes — all the mask reads of the index — and
+//!    runs the one ordered greedy selection ([`greedy_select_parts`]) at
+//!    the base budget cap with those sets already covered; prefix
+//!    preservation then serves every follow-up budget `≤ cap`. θ is
+//!    untouched, so the estimator is `prima_plus`'s marginal one;
+//! 2. the view keeps what the engine reads of it — node set, fingerprint,
+//!    pool, how many sets SP covered — and no per-set data;
 //! 3. [`ConditionedCache`] (bounded LRU keyed by the SP node-set
 //!    fingerprint) keeps derived views hot, so repeated follow-ups against
-//!    the same prior allocation skip both the filter and the selection.
+//!    the same prior allocation skip the selection too.
 //!
 //! The cache keys on the **node set**, not the full `(node, item)`
 //! allocation: RR-set conditioning only sees which nodes are taken (the
@@ -34,16 +37,15 @@
 //! `tests/warm_vs_cold.rs`). See DESIGN.md §5b.
 
 use crate::error::EngineError;
-use crate::index::{IndexMeta, RrIndex};
+use crate::index::{greedy_select_parts, RrIndex};
 use crate::lru::LruCache;
 use cwelmax_graph::NodeId;
-use cwelmax_rrset::collection::GreedySelection;
-use cwelmax_rrset::condition_parts;
 use std::sync::{Arc, Mutex};
 
-/// Default capacity of the engine's conditioned-view cache (entries).
-/// Views are heavyweight (a filtered copy of the index), so the default is
-/// far smaller than the welfare cache's.
+/// Default capacity of the engine's conditioned-view cache (entries). A
+/// view is a node set and a pool — a few hundred bytes — so memory is not
+/// what bounds this; the value is the working-set size the benchmark's
+/// `followup_churn` workload is defined against (3× this cache).
 pub const DEFAULT_CONDITIONED_CAP: usize = 32;
 
 /// A 64-bit FNV-1a fingerprint of an SP **node set** (sorted, deduped —
@@ -52,6 +54,12 @@ pub fn sp_fingerprint(sp_nodes: &[NodeId]) -> u64 {
     let mut nodes = sp_nodes.to_vec();
     nodes.sort_unstable();
     nodes.dedup();
+    canonical_fingerprint(&nodes)
+}
+
+/// [`sp_fingerprint`] of a node set already in canonical form (the output
+/// of [`validated_sp_nodes`]) — no copy, no sort.
+pub(crate) fn canonical_fingerprint(nodes: &[NodeId]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in nodes {
         for b in v.to_le_bytes() {
@@ -63,7 +71,9 @@ pub fn sp_fingerprint(sp_nodes: &[NodeId]) -> u64 {
 }
 
 /// Reject out-of-range SP nodes and return the sorted, deduped node set —
-/// the canonical conditioning key every backend derives from. A silent
+/// the one canonicalisation of a conditioning key: raw input is sorted
+/// here once, and a slice that is already canonical (a query's
+/// `seed_nodes()`, this function's own output) is only verified. A silent
 /// clamp would serve a *differently* conditioned answer than the query
 /// asked for, hence the `BadQuery` error.
 pub fn validated_sp_nodes(
@@ -76,23 +86,24 @@ pub fn validated_sp_nodes(
         )));
     }
     let mut nodes = sp_nodes.to_vec();
-    nodes.sort_unstable();
-    nodes.dedup();
+    if !nodes.windows(2).all(|w| w[0] < w[1]) {
+        nodes.sort_unstable();
+        nodes.dedup();
+    }
     Ok(nodes)
 }
 
-/// A frozen, SP-conditioned view of a base [`RrIndex`]: the surviving
-/// RR sets (θ preserved) plus the precomputed ordered greedy pool at the
-/// base budget cap. Immutable and cheaply shareable behind `Arc`.
+/// The SP-conditioned view of an index: what a follow-up campaign reads
+/// of it. It holds no per-set data — the sets `SP` covers are a mask
+/// applied while selecting, not a copy of the survivors — so a view is a
+/// few hundred bytes. Immutable and cheaply shareable behind `Arc`.
 #[derive(Debug)]
 pub struct ConditionedView {
     /// The conditioning node set (sorted, deduped).
     sp_nodes: Vec<NodeId>,
     /// Cache key: [`sp_fingerprint`] of `sp_nodes`.
     fingerprint: u64,
-    /// The filtered index: base sets minus those covered by SP, same θ.
-    inner: RrIndex,
-    /// Sets the filter removed (covered by SP).
+    /// Sets covered by SP (zeroed by Algorithm 3; θ is unchanged).
     removed_sets: usize,
     /// Ordered greedy pool at the base budget cap — prefixes serve every
     /// follow-up budget, exactly like the engine's fresh pool.
@@ -100,57 +111,34 @@ pub struct ConditionedView {
 }
 
 impl ConditionedView {
-    /// Filter `base` against the seed nodes of a fixed allocation and run
-    /// the one-time greedy selection. Rejects out-of-range SP nodes
-    /// (`BadQuery`) — a silent clamp would serve a *differently*
-    /// conditioned answer than the query asked for.
+    /// Select the follow-up pool of `base` given the seed nodes of a fixed
+    /// allocation. Rejects out-of-range SP nodes (`BadQuery`) — a silent
+    /// clamp would serve a *differently* conditioned answer than the
+    /// query asked for.
     pub fn derive(base: &RrIndex, sp_nodes: &[NodeId]) -> Result<ConditionedView, EngineError> {
         let n = base.num_nodes();
         let nodes = validated_sp_nodes(n, sp_nodes)?;
-        let (set_offsets, members, weights) = base.canonical_parts();
-        let (o, m, w) = condition_parts(n, set_offsets, members, weights, &nodes);
-        let removed_sets = base.num_sets() - w.len();
-        Self::from_conditioned_parts(
-            nodes,
-            n,
-            base.num_sampled(),
-            o,
-            m,
-            w,
-            *base.meta(),
-            removed_sets,
-        )
+        Ok(Self::over_parts(&[base], n, base.meta().budget_cap, nodes))
     }
 
-    /// Assemble a view from **already-filtered** canonical parts — the
-    /// hook sharded backends use: they run `condition_parts` shard by
-    /// shard (contiguous set ranges, so concatenating the survivors in
-    /// shard order is bit-identical to filtering the monolithic parts)
-    /// and hand the concatenation here. `sp_nodes` must be sorted,
-    /// deduped, and in range; `num_sampled` is the **base** θ (filtering
-    /// preserves it — that is what makes the estimator marginal);
-    /// `removed_sets` is how many base sets the filter dropped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_conditioned_parts(
-        sp_nodes: Vec<NodeId>,
+    /// [`ConditionedView::derive`] over an index held as ordered `parts`
+    /// (contiguous global set ranges — a store's shards, then its
+    /// overlay): the hook a sharded backend uses. `sp_nodes` must be the
+    /// output of [`validated_sp_nodes`] for `num_nodes`.
+    pub fn over_parts<P: std::ops::Deref<Target = RrIndex>>(
+        parts: &[P],
         num_nodes: usize,
-        num_sampled: usize,
-        set_offsets: Vec<usize>,
-        members: Vec<NodeId>,
-        weights: Vec<f64>,
-        meta: IndexMeta,
-        removed_sets: usize,
-    ) -> Result<ConditionedView, EngineError> {
-        let inner =
-            RrIndex::from_canonical(num_nodes, num_sampled, set_offsets, members, weights, meta)?;
-        let pool = inner.greedy_select(meta.budget_cap as usize).seeds;
-        Ok(ConditionedView {
-            fingerprint: sp_fingerprint(&sp_nodes),
+        budget_cap: u32,
+        sp_nodes: Vec<NodeId>,
+    ) -> ConditionedView {
+        let (selection, removed_sets) =
+            greedy_select_parts(parts, num_nodes, budget_cap as usize, &sp_nodes);
+        ConditionedView {
+            fingerprint: canonical_fingerprint(&sp_nodes),
             sp_nodes,
-            inner,
             removed_sets,
-            pool,
-        })
+            pool: selection.seeds,
+        }
     }
 
     /// The conditioning node set (sorted, deduped).
@@ -163,12 +151,7 @@ impl ConditionedView {
         self.fingerprint
     }
 
-    /// The filtered index (θ preserved — its estimator is marginal).
-    pub fn index(&self) -> &RrIndex {
-        &self.inner
-    }
-
-    /// How many base sets the conditioning removed.
+    /// How many base sets the conditioning covered.
     pub fn removed_sets(&self) -> usize {
         self.removed_sets
     }
@@ -176,18 +159,6 @@ impl ConditionedView {
     /// The precomputed ordered seed pool at the base budget cap.
     pub fn pool(&self) -> &[NodeId] {
         &self.pool
-    }
-
-    /// Ordered greedy selection over the *conditioned* sets — identical to
-    /// `select_from_collection` on the same-world marginal collection
-    /// (same float-add order, same tie-breaks).
-    pub fn greedy_select(&self, b: usize) -> GreedySelection {
-        self.inner.greedy_select(b)
-    }
-
-    /// Marginal estimate `σ̂(covered | SP) = n · M / θ`.
-    pub fn estimate(&self, covered_weight: f64) -> f64 {
-        self.inner.estimate(covered_weight)
     }
 }
 
@@ -216,33 +187,29 @@ impl ConditionedCache {
         self
     }
 
-    /// Canonicalise `sp_nodes` (sorted, deduped) and look its slot up:
-    /// the node set, its key, and whatever view is resident under that
-    /// key — which, fingerprints being 64 bits, may be another set's.
-    fn probe(&self, sp_nodes: &[NodeId]) -> (Vec<NodeId>, u64, Option<Arc<ConditionedView>>) {
-        let mut nodes = sp_nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let key = sp_fingerprint(&nodes);
-        let resident = crate::lock_recover(&self.views).get(&key).cloned();
-        (nodes, key, resident)
+    /// The key of `nodes` and whatever view is resident under it —
+    /// which, fingerprints being 64 bits, may be another set's.
+    fn probe(&self, nodes: &[NodeId]) -> (u64, Option<Arc<ConditionedView>>) {
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "not canonical");
+        let key = canonical_fingerprint(nodes);
+        (key, crate::lock_recover(&self.views).get(&key).cloned())
     }
 
-    /// The cached view for `sp_nodes`, if there is one (confirmed by node
-    /// set, as in [`ConditionedCache::get_or_derive`]).
-    pub fn get(&self, sp_nodes: &[NodeId]) -> Option<Arc<ConditionedView>> {
-        let (nodes, _, resident) = self.probe(sp_nodes);
+    /// The cached view for `nodes` (canonical: the output of
+    /// [`validated_sp_nodes`]), if there is one — confirmed by node set,
+    /// as in [`ConditionedCache::get_or_derive`].
+    pub fn get(&self, nodes: &[NodeId]) -> Option<Arc<ConditionedView>> {
+        let (_, resident) = self.probe(nodes);
         resident.filter(|view| view.sp_nodes() == nodes)
     }
 
-    /// Fetch the view for `sp_nodes`, deriving (and caching) it on a miss
-    /// via `derive` — the caller's backend hook ([`ConditionedView::derive`]
-    /// for a monolithic [`RrIndex`]; sharded backends filter shard by
-    /// shard). `derive` receives the sorted, deduped node set. Returns the
-    /// view and whether it was served from cache. Derivation happens
-    /// outside the lock, so a slow first derivation never blocks hits for
-    /// other SPs; two racing first queries may both derive — the loser's
-    /// work is wasted, not wrong.
+    /// Fetch the view for `nodes` (canonical: the output of
+    /// [`validated_sp_nodes`] — a set in any other order misses and is
+    /// served uncached), deriving and caching it on a miss via `derive`,
+    /// the caller's backend hook. Returns the view and whether it was
+    /// served from cache. Derivation happens outside the lock, so it never
+    /// blocks hits for other SPs; two racing first queries may both
+    /// derive — the loser's millisecond is wasted, not wrong.
     ///
     /// A hit is confirmed by comparing the stored node set, not the
     /// 64-bit fingerprint alone: `sp` arrives from untrusted wire
@@ -252,15 +219,15 @@ impl ConditionedCache {
     /// resident entry keeps its slot).
     pub fn get_or_derive(
         &self,
-        sp_nodes: &[NodeId],
+        nodes: &[NodeId],
         derive: impl FnOnce(&[NodeId]) -> Result<ConditionedView, EngineError>,
     ) -> Result<(Arc<ConditionedView>, bool), EngineError> {
-        let (nodes, key, resident) = self.probe(sp_nodes);
+        let (key, resident) = self.probe(nodes);
         let collision = resident.is_some();
         if let Some(v) = resident.filter(|v| v.sp_nodes() == nodes) {
             return Ok((v, true));
         }
-        let view = Arc::new(derive(&nodes)?);
+        let view = Arc::new(derive(nodes)?);
         if !collision {
             let evicted = crate::lock_recover(&self.views).insert(key, view.clone());
             if evicted.is_some() {
@@ -280,7 +247,8 @@ impl ConditionedCache {
         base: &RrIndex,
         sp_nodes: &[NodeId],
     ) -> Result<(Arc<ConditionedView>, bool), EngineError> {
-        self.get_or_derive(sp_nodes, |nodes| ConditionedView::derive(base, nodes))
+        let nodes = validated_sp_nodes(base.num_nodes(), sp_nodes)?;
+        self.get_or_derive(&nodes, |nodes| ConditionedView::derive(base, nodes))
     }
 
     /// Number of views currently cached.
@@ -327,30 +295,32 @@ mod tests {
 
     #[test]
     fn view_equals_marginal_collection_on_same_world() {
-        // the exact-match bar, at the view level: derive(filter) must give
-        // the same selection as sampling MarginalRr with the same
+        // the exact-match bar, at the view level: the mask must give the
+        // same selection as sampling MarginalRr with the same
         // (seed, count) — the same sampled world
         let (idx, g) = base_index(100, 500, 3, 2000, 6);
         let sp = [0u32, 13, 57];
         let view = ConditionedView::derive(&idx, &sp).unwrap();
         let mut marg = RrCollection::new(100);
         marg.extend_parallel(&g, &MarginalRr::new(100, &sp), 2000, 3 ^ 0xD00D, 2);
-        assert_eq!(view.index().canonical_parts(), marg.parts());
-        assert_eq!(view.index().num_sampled(), marg.num_sampled());
-        let a = view.greedy_select(6);
-        let b = marg.greedy_select(6);
-        assert_eq!(a.seeds, b.seeds);
-        assert_eq!(a.coverage, b.coverage);
-        assert_eq!(view.pool(), &b.seeds[..]);
+        // it covers exactly the sets marginal sampling zeroes …
+        assert_eq!(view.removed_sets(), idx.num_sets() - marg.num_sets());
+        // … and selects over the rest as the cold path does, bit for bit
+        let cold = marg.greedy_select(6);
+        assert_eq!(view.pool(), &cold.seeds[..]);
+        let (masked, removed) = greedy_select_parts(&[&idx], 100, 6, &sp);
+        assert_eq!(masked.seeds, cold.seeds);
+        assert_eq!(masked.coverage, cold.coverage);
+        assert_eq!(removed, view.removed_sets());
     }
 
     #[test]
     fn empty_sp_view_equals_base() {
         let (idx, _) = base_index(60, 300, 5, 800, 4);
         let view = ConditionedView::derive(&idx, &[]).unwrap();
-        assert_eq!(view.index().canonical_parts(), idx.canonical_parts());
         assert_eq!(view.removed_sets(), 0);
         assert_eq!(view.pool(), &idx.greedy_select(4).seeds[..]);
+        assert_eq!(view.pool(), &idx.to_collection().greedy_select(4).seeds[..]);
     }
 
     #[test]

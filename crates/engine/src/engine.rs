@@ -28,7 +28,7 @@
 //! Monte-Carlo estimate.
 
 use crate::backend::{IndexBackend, StorageStats};
-use crate::conditioned::{ConditionedCache, ConditionedView};
+use crate::conditioned::{validated_sp_nodes, ConditionedCache, ConditionedView};
 use crate::error::EngineError;
 use crate::index::graph_fingerprint;
 use crate::lru::LruCache;
@@ -57,7 +57,7 @@ pub struct EngineStats {
     /// Of those, how many were served from the cache.
     pub welfare_cache_hits: u64,
     /// SP-conditioned views derived (the expensive follow-up step:
-    /// filter + one greedy selection).
+    /// SP's sets masked + one greedy selection).
     pub conditioned_views: u64,
     /// Follow-up queries whose view came from the conditioned cache.
     pub conditioned_hits: u64,
@@ -102,7 +102,7 @@ pub struct CampaignEngine {
     cache: Mutex<WelfareCache>,
     /// SP-conditioned index views, keyed by SP node-set fingerprint, so
     /// repeated follow-up campaigns against the same prior allocation are
-    /// served warm (no filtering, no re-selection).
+    /// served warm (no re-selection).
     conditioned: ConditionedCache,
     /// The stack's metrics registry (shared with the backend when the
     /// builder opened it, and adopted by the server). The counter and
@@ -231,7 +231,8 @@ impl CampaignEngine {
     /// Derive (and cache) the SP-conditioned view for `sp_nodes` ahead
     /// of traffic — `EngineBuilder::prewarm_sp`'s build-time hook.
     pub(crate) fn prewarm_view(&self, sp_nodes: &[NodeId]) -> Result<(), EngineError> {
-        let (_, hit) = self.conditioned_view(sp_nodes, None)?;
+        let nodes = validated_sp_nodes(self.backend.num_nodes(), sp_nodes)?;
+        let (_, hit) = self.conditioned_view(&nodes, None)?;
         self.count_view(hit);
         Ok(())
     }
@@ -312,11 +313,13 @@ impl CampaignEngine {
         Ok(theta)
     }
 
-    /// The SP-conditioned view for `sp_nodes` and whether the cache held
-    /// it. A cache miss derives under an `engine.conditioned_derive`
-    /// span (when traced) with the SP fingerprint attached; the backend
-    /// gets the span's child scope so storage-side work (shard faults)
-    /// nests under the derive. The caller counts the outcome
+    /// The SP-conditioned view for `sp_nodes` (canonical — a query's
+    /// `seed_nodes()`, or [`validated_sp_nodes`]' output) and whether the
+    /// cache held it. A cache miss derives under an
+    /// `engine.conditioned_derive` span (when traced) carrying the SP
+    /// fingerprint and how many sets SP covered; the backend gets the
+    /// span's child scope so storage-side work (shard faults) nests
+    /// under the derive. The caller counts the outcome
     /// ([`Self::count_view`]) once the query it serves is past its last
     /// deferral point.
     fn conditioned_view(
@@ -327,16 +330,17 @@ impl CampaignEngine {
         self.conditioned.get_or_derive(sp_nodes, |nodes| {
             let mut span = scope.map(|s| s.span("engine.conditioned_derive"));
             if let Some(sp) = span.as_mut() {
-                sp.attr(
-                    "sp_fingerprint",
-                    format!("{:016x}", crate::conditioned::sp_fingerprint(nodes)),
-                );
+                let fingerprint = crate::conditioned::canonical_fingerprint(nodes);
+                sp.attr("sp_fingerprint", format!("{fingerprint:016x}"));
                 sp.attr("sp_nodes", nodes.len() as u64);
             }
             let child = span.as_ref().map(|s| s.scope());
             let start = std::time::Instant::now();
             let derived = self.backend.derive_conditioned_traced(nodes, child);
             self.conditioned_derive_ns.record_since(start);
+            if let (Some(sp), Ok(view)) = (span.as_mut(), &derived) {
+                sp.attr("removed_sets", view.removed_sets() as u64);
+            }
             derived
         })
     }

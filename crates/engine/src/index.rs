@@ -17,11 +17,17 @@
 //! selection at the budget cap serves **every** query with a smaller
 //! budget. Sharing is free: the index is immutable, so engines clone an
 //! `Arc<RrIndex>` across query threads.
+//!
+//! [`greedy_select_parts`] is the one selection loop outside
+//! `cwelmax_rrset` (whose `RrCollection::greedy_select` is the tests'
+//! oracle): it runs over one index or a store's ordered shards, and takes
+//! a follow-up's SP as a **mask** — the sets SP touches start out covered.
 
 use crate::error::EngineError;
 use cwelmax_graph::{Graph, NodeId};
-use cwelmax_rrset::collection::{greedy_argmax, GreedySelection};
+use cwelmax_rrset::collection::GreedySelection;
 use cwelmax_rrset::{sampled_collection, ImmParams, RrCollection, StandardRr};
+use std::ops::Deref;
 
 /// Build-time metadata carried by an index (and persisted in snapshots).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,8 +80,18 @@ pub struct RrIndex {
     /// containing node `v` (derived from the canonical data above).
     post_offsets: Vec<usize>,
     postings: Vec<u32>,
+    /// `node_totals[v]` = Σ weights over `postings(v)`, added in set order.
+    node_totals: Vec<f64>,
+    /// Σ weights when every weight is an integer and the sum stays below
+    /// 2^53 (every `StandardRr` index: weight 1.0) — then any sum or
+    /// difference of this index's weights is exact in any order, and
+    /// `node_totals` can stand in for an ordered walk of the sets.
+    integral_weight: Option<f64>,
     meta: IndexMeta,
 }
+
+/// Integers below this are exact in an `f64`, and so are their sums.
+const EXACT_F64_INTEGERS: f64 = 9_007_199_254_740_992.0; // 2^53
 
 impl RrIndex {
     /// Sample and freeze an index for `graph`: runs the IMM sampling phases
@@ -128,7 +144,10 @@ impl RrIndex {
         weights: Vec<f64>,
         meta: IndexMeta,
     ) -> RrIndex {
-        let (post_offsets, postings) = build_postings(num_nodes, &set_offsets, &members);
+        let (post_offsets, postings, node_totals) =
+            build_postings(num_nodes, &set_offsets, &members, &weights);
+        let sum: f64 = weights.iter().sum();
+        let integral = sum < EXACT_F64_INTEGERS && weights.iter().all(|w| w.fract() == 0.0);
         RrIndex {
             num_nodes,
             num_sampled,
@@ -137,6 +156,8 @@ impl RrIndex {
             weights,
             post_offsets,
             postings,
+            node_totals,
+            integral_weight: integral.then_some(sum),
             meta,
         }
     }
@@ -152,10 +173,18 @@ impl RrIndex {
         weights: Vec<f64>,
         meta: IndexMeta,
     ) -> Result<RrIndex, EngineError> {
-        let collection =
+        let (o, m, w) =
             RrCollection::from_parts(num_nodes, set_offsets, members, weights, num_sampled)
-                .map_err(EngineError::Corrupt)?;
-        Ok(Self::freeze(&collection, meta))
+                .map_err(EngineError::Corrupt)?
+                .into_parts();
+        Ok(Self::from_canonical_unchecked(
+            num_nodes,
+            num_sampled,
+            o,
+            m,
+            w,
+            meta,
+        ))
     }
 
     /// Build metadata.
@@ -223,38 +252,7 @@ impl RrIndex {
     /// collection (same tie-breaking), but with the inverted index
     /// precomputed once at freeze time instead of per call.
     pub fn greedy_select(&self, b: usize) -> GreedySelection {
-        let num_sets = self.num_sets();
-        let mut gain = vec![0.0f64; self.num_nodes];
-        for j in 0..num_sets {
-            for &v in self.set(j) {
-                gain[v as usize] += self.weights[j];
-            }
-        }
-        let mut covered = vec![false; num_sets];
-        let mut seeds = Vec::with_capacity(b);
-        let mut coverage = Vec::with_capacity(b);
-        let mut total = 0.0;
-        for _ in 0..b.min(self.num_nodes) {
-            let (best, best_gain) = match greedy_argmax(&gain) {
-                Some(x) => x,
-                None => break,
-            };
-            seeds.push(best as NodeId);
-            total += best_gain;
-            coverage.push(total);
-            for &j in self.postings(best as NodeId) {
-                let j = j as usize;
-                if covered[j] {
-                    continue;
-                }
-                covered[j] = true;
-                for &v in self.set(j) {
-                    gain[v as usize] -= self.weights[j];
-                }
-            }
-            gain[best] = f64::NEG_INFINITY; // never pick the same node twice
-        }
-        GreedySelection { seeds, coverage }
+        greedy_select_parts(&[self], self.num_nodes, b, &[]).0
     }
 
     /// Materialize back into an [`RrCollection`] (borrowing hook for code
@@ -273,11 +271,105 @@ impl RrIndex {
     }
 }
 
+/// Greedy `NodeSelection` (Algorithm 5) over `parts` — indexes (or `Arc`s
+/// of them) holding contiguous global set ranges, in global order — on
+/// the marginal problem given `sp_nodes` (in range; empty for a fresh
+/// campaign). Returns the selection and how many sets SP covers.
+///
+/// SP is a mask, not a filter: the sets it touches (found through SP's
+/// postings alone) start out covered, which is all Algorithm 3's zeroing
+/// means to a selection. The output — seeds, coverage bits, count — equals
+/// `cwelmax_rrset::condition_parts` + `RrCollection::greedy_select` over
+/// the parts' concatenated sets: surviving sets are visited in global
+/// order, so every `f64` addition and argmax tie-break is the oracle's.
+/// Initial gains come from the parts' cached node totals when every
+/// weight is integral (sums are then exact in any order), else from an
+/// ordered walk of the surviving sets.
+pub fn greedy_select_parts<P: Deref<Target = RrIndex>>(
+    parts: &[P],
+    num_nodes: usize,
+    b: usize,
+    sp_nodes: &[NodeId],
+) -> (GreedySelection, usize) {
+    let mut covered: Vec<Vec<bool>> = parts.iter().map(|p| vec![false; p.num_sets()]).collect();
+    let mut gain = vec![0.0f64; num_nodes];
+    let exact = parts
+        .iter()
+        .try_fold(0.0, |sum, p| Some(sum + p.integral_weight?))
+        .is_some_and(|sum| sum < EXACT_F64_INTEGERS);
+    if exact {
+        for part in parts {
+            for (g, t) in gain.iter_mut().zip(&part.node_totals) {
+                *g += t;
+            }
+        }
+    }
+    let mut removed_sets = 0;
+    for &v in sp_nodes {
+        removed_sets += cover(parts, &mut covered, exact.then_some(&mut gain[..]), v);
+    }
+    if !exact {
+        for (part, cov) in parts.iter().zip(&covered) {
+            for (j, &w) in part.weights.iter().enumerate() {
+                if !cov[j] {
+                    for &u in part.set(j) {
+                        gain[u as usize] += w;
+                    }
+                }
+            }
+        }
+    }
+    let mut seeds = Vec::with_capacity(b);
+    let mut coverage = Vec::with_capacity(b);
+    let mut total = 0.0;
+    for _ in 0..b.min(num_nodes) {
+        let Some((best, best_gain)) = cwelmax_rrset::greedy_argmax(&gain) else {
+            break;
+        };
+        seeds.push(best as NodeId);
+        total += best_gain;
+        coverage.push(total);
+        cover(parts, &mut covered, Some(&mut gain[..]), best as NodeId);
+        gain[best] = f64::NEG_INFINITY; // never pick the same node twice
+    }
+    (GreedySelection { seeds, coverage }, removed_sets)
+}
+
+/// Cover every still-uncovered set containing `v`, parts in global order,
+/// withdrawing each one's weight from its members' `gain` when given.
+/// Returns how many sets that was.
+fn cover<P: Deref<Target = RrIndex>>(
+    parts: &[P],
+    covered: &mut [Vec<bool>],
+    mut gain: Option<&mut [f64]>,
+    v: NodeId,
+) -> usize {
+    let mut newly = 0;
+    for (part, cov) in parts.iter().zip(covered) {
+        for &j in part.postings(v) {
+            let j = j as usize;
+            if std::mem::replace(&mut cov[j], true) {
+                continue;
+            }
+            newly += 1;
+            if let Some(gain) = gain.as_deref_mut() {
+                for &u in part.set(j) {
+                    gain[u as usize] -= part.weights[j];
+                }
+            }
+        }
+    }
+    newly
+}
+
+/// The postings (node → ids of the sets containing it, in set order) and,
+/// from the same pass over the members, each node's total weight.
 fn build_postings(
     num_nodes: usize,
     set_offsets: &[usize],
     members: &[NodeId],
-) -> (Vec<usize>, Vec<u32>) {
+    weights: &[f64],
+) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
     let mut deg = vec![0usize; num_nodes];
     for &v in members {
         deg[v as usize] += 1;
@@ -287,14 +379,16 @@ fn build_postings(
         post_offsets[v + 1] = post_offsets[v] + deg[v];
     }
     let mut postings = vec![0u32; members.len()];
+    let mut node_totals = vec![0.0f64; num_nodes];
     let mut cursor = post_offsets.clone();
-    for j in 0..set_offsets.len().saturating_sub(1) {
+    for (j, &w) in weights.iter().enumerate() {
         for &v in &members[set_offsets[j]..set_offsets[j + 1]] {
             postings[cursor[v as usize]] = j as u32;
             cursor[v as usize] += 1;
+            node_totals[v as usize] += w;
         }
     }
-    (post_offsets, postings)
+    (post_offsets, postings, node_totals)
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //! * [`conditioned`] — SP-conditioned views of the frozen index: marginal
 //!   sampling is standard sampling plus a filter, so **follow-up**
 //!   campaigns (fixed prior allocation `SP`) are also served warm, from a
-//!   filtered view derived (and LRU-cached) per SP node set — still zero
-//!   resampling;
+//!   view selected with SP's sets masked out of the base postings (and
+//!   LRU-cached per SP node set) — zero resampling, zero copying;
 //! * [`CampaignEngine`] — loads a graph + index once and answers many
 //!   allocation queries (budgets × utility configs × algorithm choice ×
 //!   optional `SP`) over the shared index **without resampling**, with a
@@ -90,6 +90,6 @@ pub use builder::EngineBuilder;
 pub use conditioned::{sp_fingerprint, validated_sp_nodes, ConditionedCache, ConditionedView};
 pub use engine::{model_fingerprint, CampaignEngine, EngineStats};
 pub use error::{EngineError, ErrorKind};
-pub use index::{graph_fingerprint, IndexMeta, RrIndex};
+pub use index::{graph_fingerprint, greedy_select_parts, IndexMeta, RrIndex};
 pub use lru::LruCache;
 pub use query::{CampaignAnswer, CampaignQuery, QueryAlgorithm};

@@ -20,8 +20,8 @@
 //!
 //! The `views` section persists the SP node sets of conditioned views the
 //! operator wants pre-warmed: views are *derived* state (a deterministic
-//! filter of the canonical sets — `engine::conditioned`), so only the
-//! conditioning node sets are stored, never the filtered copies. Version-1
+//! selection over the canonical sets — `engine::conditioned`), so only
+//! the conditioning node sets are stored, never the views. Version-1
 //! snapshots simply lack the section and load as "no persisted views" —
 //! forward compatibility is tested, as is rejection of a corrupted views
 //! section.

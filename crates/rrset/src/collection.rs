@@ -124,6 +124,14 @@ impl RrCollection {
         (&self.set_offsets, &self.members, &self.weights)
     }
 
+    /// Give the raw storage up, `(set_offsets, members, weights)` — the
+    /// owning counterpart of [`RrCollection::parts`], so a loader that
+    /// validated its vectors through [`RrCollection::from_parts`] gets
+    /// them back without a copy.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<NodeId>, Vec<f64>) {
+        (self.set_offsets, self.members, self.weights)
+    }
+
     /// Number of retained (non-empty) sets.
     pub fn num_sets(&self) -> usize {
         self.weights.len()

@@ -1362,6 +1362,14 @@ fn assert_follow_up_trace_shows_derive_and_faults(topped_up: bool) {
         "derive span carries the SP fingerprint: {:?}",
         derive.attrs
     );
+    assert!(
+        derive
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "removed_sets" && matches!(v, AttrValue::U64(_))),
+        "derive span says how many sets SP covered: {:?}",
+        derive.attrs
+    );
     let store_span = derive
         .children
         .iter()

@@ -18,10 +18,10 @@
 //!   ranges and the overlay's sets come after all of them, so every
 //!   composed walk visits sets in global order: the same `f64`
 //!   additions happen in the same order as in the cold monolith, and
-//!   `greedy_argmax` breaks ties identically;
-//! * **conditioning** — per-shard `condition_parts` survivors are
-//!   concatenated in shard order with the overlay's survivors last,
-//!   which is exactly the cold store's filtered global order.
+//!   the argmax breaks ties identically;
+//! * **conditioning** — a follow-up view is that same selection with
+//!   the sets SP touches masked in every part, so the surviving sets
+//!   are visited in exactly the cold store's filtered global order.
 //!
 //! ## Durability lifecycle
 //!
@@ -39,8 +39,8 @@ use crate::sharded::{worker_count, write_store, ShardedIndex, StoreSummary};
 use crate::walk::{self, Canonical};
 use cwelmax_engine::conditioned::validated_sp_nodes;
 use cwelmax_engine::{
-    graph_fingerprint, ConditionedView, EngineBuilder, EngineError, IndexBackend, IndexMeta,
-    RrIndex, StorageStats,
+    graph_fingerprint, greedy_select_parts, ConditionedView, EngineBuilder, EngineError,
+    IndexBackend, IndexMeta, RrIndex, StorageStats,
 };
 use cwelmax_graph::{Graph, NodeId};
 use cwelmax_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceScope};
@@ -388,11 +388,11 @@ impl JournaledStore {
     }
 
     /// Greedy selection over base + overlay — bit-identical to the cold
-    /// build's (same accumulation order, same `greedy_argmax`
-    /// tie-breaks); the equivalence oracle for the top-up tests.
+    /// build's (same accumulation order, same argmax tie-breaks); the
+    /// equivalence oracle for the top-up tests.
     pub fn greedy_select(&self, b: usize) -> Result<GreedySelection, EngineError> {
         let (parts, _) = self.snapshot(None)?;
-        Ok(walk::greedy_select(&parts, self.num_nodes, b))
+        Ok(greedy_select_parts(&parts, self.num_nodes, b, &[]).0)
     }
 
     /// Fold base + overlay into a fresh sharded store (write-then-rename
@@ -478,7 +478,8 @@ impl IndexBackend for JournaledStore {
         }
         let (parts, num_sampled) = self.snapshot(None)?;
         let cap = self.meta.budget_cap as usize;
-        let seeds = walk::greedy_select(&parts, self.num_nodes, cap).seeds;
+        let (selection, _) = greedy_select_parts(&parts, self.num_nodes, cap, &[]);
+        let seeds = selection.seeds;
         // cache it unless a top-up moved θ while we selected: the pool
         // answers the snapshot it was selected over, never a later one
         let mut st = self.write();
@@ -488,15 +489,16 @@ impl IndexBackend for JournaledStore {
         Ok(seeds)
     }
 
-    /// Filter base shards in global order, then the overlay — the
-    /// concatenated survivors are bit-identical to filtering the cold
-    /// build's monolithic parts. Hangs one `store.derive_conditioned`
-    /// span off the engine's derive span, with one `store.shard_fault`
-    /// span per shard this derivation had to fault in nested underneath
-    /// — so a follow-up campaign's trace shows exactly which shards its
-    /// first SP query paid for. This is the one follow-up cost a store
-    /// pays over a monolithic index: the first SP query faults all
-    /// shards in.
+    /// Select over base shards in global order, then the overlay, with
+    /// the sets SP touches masked — bit-identical to filtering the cold
+    /// build's monolithic parts and selecting on the survivors. Hangs
+    /// one `store.derive_conditioned` span off the engine's derive span,
+    /// with one `store.shard_fault` span per shard this derivation had
+    /// to fault in nested underneath — so a follow-up campaign's trace
+    /// shows exactly which shards its first SP query paid for. This is
+    /// the one follow-up cost a store pays over a monolithic index: the
+    /// first SP query faults all shards in (the mask reads only SP's
+    /// postings, but a global argmax needs every shard's gains).
     fn derive_conditioned_traced(
         &self,
         sp_nodes: &[NodeId],
@@ -505,12 +507,18 @@ impl IndexBackend for JournaledStore {
         let mut span = trace.map(|s| s.span("store.derive_conditioned"));
         let child = span.as_ref().map(|sp| sp.scope());
         let nodes = validated_sp_nodes(self.num_nodes, sp_nodes)?;
-        let (parts, num_sampled) = self.snapshot(child)?;
+        let (parts, _) = self.snapshot(child)?;
         if let Some(sp) = span.as_mut() {
             // every part but the overlay
             sp.attr("shards_total", (parts.len() - 1) as u64);
         }
-        walk::condition(&parts, self.num_nodes, num_sampled, self.meta, nodes)
+        let cap = self.meta.budget_cap;
+        Ok(ConditionedView::over_parts(
+            &parts,
+            self.num_nodes,
+            cap,
+            nodes,
+        ))
     }
 
     fn storage(&self) -> StorageStats {

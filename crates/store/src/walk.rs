@@ -6,15 +6,17 @@
 //! at the topped-up θ) rests on one fact, kept true in this one place:
 //! parts hold *contiguous* global set ranges, so walking parts in order
 //! visits sets in exactly the global order. That preserves the `f64`
-//! accumulation order of coverage and marginal gains, the
-//! `greedy_argmax` tie-breaks, and the survivor order of conditioning.
+//! accumulation order of coverage and marginal gains and the argmax
+//! tie-breaks. Selection — fresh, or conditioned on an SP — is not
+//! written here: the store hands its parts to the engine's one loop,
+//! `cwelmax_engine::greedy_select_parts`, which a monolithic index runs
+//! as a single part; a follow-up view is that selection with SP's sets
+//! masked, so conditioning filters, copies and concatenates nothing.
 //! `tests/store_properties.rs` and `tests/journal_recovery.rs` proptest
 //! the equivalence across shard counts with and without an overlay.
 
-use cwelmax_engine::{ConditionedView, EngineError, IndexMeta, RrIndex};
+use cwelmax_engine::{EngineError, IndexMeta, RrIndex};
 use cwelmax_graph::NodeId;
-use cwelmax_rrset::collection::{greedy_argmax, GreedySelection};
-use cwelmax_rrset::condition_parts;
 use std::sync::Arc;
 
 /// Canonical `(set_offsets, members, weights)` parts under construction:
@@ -91,81 +93,4 @@ pub(crate) fn coverage(parts: &[Arc<RrIndex>], seeds: &[NodeId]) -> f64 {
         }
     }
     total
-}
-
-/// Greedy `NodeSelection` over all parts, merging per-part marginal
-/// gains — the same accumulation order and `greedy_argmax` tie-breaks
-/// as [`RrIndex::greedy_select`] on the monolithic index. A global
-/// argmax needs global gains, so this touches every part.
-pub(crate) fn greedy_select(parts: &[Arc<RrIndex>], num_nodes: usize, b: usize) -> GreedySelection {
-    let mut gain = vec![0.0f64; num_nodes];
-    for part in parts {
-        let weights = part.canonical_parts().2;
-        for (j, &w) in weights.iter().enumerate() {
-            for &v in part.set(j) {
-                gain[v as usize] += w;
-            }
-        }
-    }
-    let mut covered: Vec<Vec<bool>> = parts.iter().map(|p| vec![false; p.num_sets()]).collect();
-    let mut seeds = Vec::with_capacity(b);
-    let mut coverage = Vec::with_capacity(b);
-    let mut total = 0.0;
-    for _ in 0..b.min(num_nodes) {
-        let (best, best_gain) = match greedy_argmax(&gain) {
-            Some(x) => x,
-            None => break,
-        };
-        seeds.push(best as NodeId);
-        total += best_gain;
-        coverage.push(total);
-        for (part, cov) in parts.iter().zip(covered.iter_mut()) {
-            let weights = part.canonical_parts().2;
-            for &j in part.postings(best as NodeId) {
-                let j = j as usize;
-                if cov[j] {
-                    continue;
-                }
-                cov[j] = true;
-                for &v in part.set(j) {
-                    gain[v as usize] -= weights[j];
-                }
-            }
-        }
-        gain[best] = f64::NEG_INFINITY; // never pick the same node twice
-    }
-    GreedySelection { seeds, coverage }
-}
-
-/// Filter every part against `sp_nodes` (sorted, deduped, in range) and
-/// assemble the view: the per-part survivors concatenated in part order
-/// are exactly the survivors of filtering the monolithic parts.
-/// `num_sampled` is the composed θ — filtering preserves it, which is
-/// what makes the view's estimator marginal.
-pub(crate) fn condition(
-    parts: &[Arc<RrIndex>],
-    num_nodes: usize,
-    num_sampled: usize,
-    meta: IndexMeta,
-    sp_nodes: Vec<NodeId>,
-) -> Result<ConditionedView, EngineError> {
-    let mut kept = Canonical::new();
-    let mut total_sets = 0;
-    for part in parts {
-        let (o, m, w) = part.canonical_parts();
-        total_sets += w.len();
-        let (fo, fm, fw) = condition_parts(num_nodes, o, m, w, &sp_nodes);
-        kept.push(&fo, &fm, &fw);
-    }
-    let removed = total_sets - kept.weights.len();
-    ConditionedView::from_conditioned_parts(
-        sp_nodes,
-        num_nodes,
-        num_sampled,
-        kept.set_offsets,
-        kept.members,
-        kept.weights,
-        meta,
-        removed,
-    )
 }

@@ -8,7 +8,7 @@ use cwelmax_engine::{
     RrIndex,
 };
 use cwelmax_graph::{generators, Graph, ProbabilityModel as PM};
-use cwelmax_rrset::{RrCollection, StandardRr, REGEN_SEED_XOR};
+use cwelmax_rrset::{conditioned_collection, RrCollection, StandardRr, REGEN_SEED_XOR};
 use cwelmax_store::{write_store, FromStore, JournaledStore, ShardedIndex};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -53,6 +53,23 @@ fn cold_build(seed: u64, n: usize, sets: usize, cap: u32) -> (Graph, RrIndex) {
 
 fn index_from(seed: u64, n: usize, sets: usize, cap: u32) -> RrIndex {
     cold_build(seed, n, sets, cap).1
+}
+
+/// `idx` with the weights of its first `upto` sets replaced by per-set
+/// fractions, whose sums depend on the order they are added in.
+fn fractional(idx: &RrIndex, upto: usize) -> RrIndex {
+    let (o, m, w) = idx.canonical_parts();
+    let w = (0..w.len())
+        .map(|j| {
+            if j < upto {
+                0.1 + (j % 7) as f64 * 0.37
+            } else {
+                w[j]
+            }
+        })
+        .collect();
+    let (n, theta) = (idx.num_nodes(), idx.num_sampled());
+    RrIndex::from_canonical(n, theta, o.to_vec(), m.to_vec(), w, *idx.meta()).unwrap()
 }
 
 proptest! {
@@ -117,35 +134,56 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// SP-conditioned derivation through the store backend equals the
-    /// monolithic `ConditionedView::derive` at the composed θ exactly
-    /// (inner parts, pool, removed-set count) for arbitrary SP node sets,
-    /// with and without a journaled top-up.
+    /// SP-conditioned derivation through every backend — N shards with
+    /// and without a journaled top-up left in the overlay, and the
+    /// monolithic index — equals an oracle that shares no code with it:
+    /// `condition_parts` filters a copy of the cold build's sets at the
+    /// composed θ and `RrCollection::greedy_select` selects on the copy.
+    /// Weights are integral (the cached-totals initialiser) or fractional
+    /// (the ordered walk); SP is empty, a few nodes, unsorted with
+    /// duplicates, or every node (which covers every set).
     #[test]
     fn sharded_conditioning_equals_monolithic(
         seed in 0u64..3_000,
         shards in 1usize..8,
         sp_seed in 0u64..500,
-        sp_len in 0usize..5,
+        sp_kind in 0usize..4,
         topup in 0usize..200,
+        integral in any::<bool>(),
     ) {
         let n = 40usize;
-        let (g, written) = cold_build(seed, n, 300, 5);
+        let (g, mut written) = cold_build(seed, n, 300, 5);
+        let mut idx = index_from(seed, n, 300 + topup, 5);
+        if !integral {
+            // the top-up's own sets keep weight 1.0, in store and oracle
+            let base_sets = written.num_sets();
+            written = fractional(&written, base_sets);
+            idx = fractional(&idx, base_sets);
+        }
         let dir = scratch("cond");
         write_store(&written, &dir, shards).unwrap();
         let store = JournaledStore::open(&dir).unwrap();
         store.ensure_theta(&g, 300 + topup).unwrap();
-        let idx = index_from(seed, n, 300 + topup, 5);
-        let sp: Vec<u32> = (0..sp_len)
-            .map(|j| ((sp_seed + 11 * j as u64) % n as u64) as u32)
-            .collect();
-        let got = store.derive_conditioned(&sp).unwrap();
-        let want = ConditionedView::derive(&idx, &sp).unwrap();
-        prop_assert_eq!(got.sp_nodes(), want.sp_nodes());
-        prop_assert_eq!(got.index().canonical_parts(), want.index().canonical_parts());
-        prop_assert_eq!(got.index().num_sampled(), want.index().num_sampled());
-        prop_assert_eq!(got.pool(), want.pool());
-        prop_assert_eq!(got.removed_sets(), want.removed_sets());
+        let few: Vec<u32> = (0..4).map(|j| ((sp_seed + 11 * j) % n as u64) as u32).collect();
+        let sp: Vec<u32> = match sp_kind {
+            0 => vec![],
+            1 => few,
+            2 => few.iter().rev().chain(&few[..2]).copied().collect(),
+            _ => (0..n as u32).rev().collect(),
+        };
+        let kept = conditioned_collection(&idx.to_collection(), &sp);
+        let want = kept.greedy_select(5);
+        let mut canonical = sp.clone();
+        canonical.sort_unstable();
+        canonical.dedup();
+        for got in [
+            store.derive_conditioned(&sp).unwrap(),
+            ConditionedView::derive(&idx, &sp).unwrap(),
+        ] {
+            prop_assert_eq!(got.sp_nodes(), &canonical[..]);
+            prop_assert_eq!(got.pool(), &want.seeds[..]);
+            prop_assert_eq!(got.removed_sets(), idx.num_sets() - kept.num_sets());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

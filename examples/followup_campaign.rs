@@ -10,9 +10,9 @@
 //!   budget goes to uncovered regions instead.
 //!
 //! The second half serves the same follow-up **warm**: a prebuilt
-//! standard RR-set index is filtered into an SP-conditioned view
-//! (`cwelmax-engine`), so repeated follow-up queries against the fixed
-//! allocation never resample.
+//! standard RR-set index is selected over with SP's sets masked out
+//! (an SP-conditioned view, `cwelmax-engine`), so repeated follow-up
+//! queries against the fixed allocation never resample.
 //!
 //! Run with: `cargo run --release --example followup_campaign`
 
