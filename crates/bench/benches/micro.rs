@@ -17,13 +17,14 @@ fn bench_uic_world(c: &mut Criterion) {
     let g = network(Network::NetHept, Scale::Quick);
     let model = configs::two_item_config(TwoItemConfig::C1);
     let nw = model.noiseless_world();
-    let alloc = Allocation::from_pairs((0..20u32).map(|v| (v * 13, (v % 2) as usize)));
+    let seeds =
+        Allocation::from_pairs((0..20u32).map(|v| (v * 13, (v % 2) as usize))).desire_by_node();
     let mut ctx = UicContext::new(g.num_nodes(), 2);
     let mut k = 0u64;
     c.bench_function("uic_single_world", |b| {
         b.iter(|| {
             k += 1;
-            ctx.run(&g, &nw, EdgeWorld::new(k), &alloc)
+            ctx.run(&g, &nw, EdgeWorld::new(k), &seeds)
         })
     });
 }
@@ -97,21 +98,21 @@ fn bench_epoch_ablation(c: &mut Criterion) {
     let g = network(Network::NetHept, Scale::Quick);
     let model = configs::two_item_config(TwoItemConfig::C1);
     let nw = model.noiseless_world();
-    let alloc = Allocation::from_pairs([(0u32, 0usize), (13, 1)]);
+    let seeds = Allocation::from_pairs([(0u32, 0usize), (13, 1)]).desire_by_node();
     let mut group = c.benchmark_group("ablation_epoch");
     let mut reused = UicContext::new(g.num_nodes(), 2);
     let mut k = 0u64;
     group.bench_function("reused_context", |b| {
         b.iter(|| {
             k += 1;
-            reused.run(&g, &nw, EdgeWorld::new(k), &alloc)
+            reused.run(&g, &nw, EdgeWorld::new(k), &seeds)
         })
     });
     group.bench_function("fresh_context", |b| {
         b.iter(|| {
             k += 1;
             let mut ctx = UicContext::new(g.num_nodes(), 2);
-            ctx.run(&g, &nw, EdgeWorld::new(k), &alloc)
+            ctx.run(&g, &nw, EdgeWorld::new(k), &seeds)
         })
     });
     group.finish();

@@ -10,7 +10,7 @@
 use crate::problem::Problem;
 use crate::seqgrd::SeqGrd;
 use crate::solution::{timed, CwelMaxAlgorithm, Solution};
-use cwelmax_diffusion::Allocation;
+use cwelmax_diffusion::{Allocation, WelfareOracle};
 use cwelmax_rrset::prima::prima_plus;
 
 /// The MaxGRD solver.
@@ -19,27 +19,30 @@ pub struct MaxGrd;
 
 impl MaxGrd {
     /// Lines 2–3 of Algorithm 2 against a **borrowed, prebuilt** ordered
-    /// seed pool (the warm path `cwelmax-engine` uses — no sampling): give
-    /// each free item its budget-prefix of the pool and keep the single
-    /// item with the highest marginal welfare.
+    /// seed pool (no sampling).
     pub fn solve_with_pool(&self, problem: &Problem, pool: &[cwelmax_graph::NodeId]) -> Solution {
-        let ((alloc, est), elapsed) = timed(|| self.best_single_item(problem, pool));
+        let ((alloc, est), elapsed) =
+            timed(|| self.best_single_item(problem, pool, &problem.oracle()));
         debug_assert!(problem.check_feasible(&alloc).is_ok());
         Solution::new(self.name(), alloc, elapsed).with_estimate(est)
     }
 
-    fn best_single_item(
+    /// Lines 2–3 of Algorithm 2: give each free item its budget-prefix
+    /// of the pool and keep the single item with the highest marginal
+    /// welfare (returned beside it), every welfare question going to
+    /// `oracle`.
+    pub fn best_single_item(
         &self,
         problem: &Problem,
         pool: &[cwelmax_graph::NodeId],
+        oracle: &dyn WelfareOracle,
     ) -> (Allocation, f64) {
         let free = problem.free_items();
-        let estimator = problem.estimator();
         let mut best: Option<(Allocation, f64)> = None;
         for item in free.iter() {
             let bi = problem.budgets[item].min(pool.len());
             let cand = Allocation::from_item_seeds(item, &pool[..bi]);
-            let rho = estimator.marginal_welfare(&cand, &problem.fixed);
+            let rho = oracle.marginal_welfare(&cand, &problem.fixed);
             if best.as_ref().is_none_or(|&(_, b)| rho > b) {
                 best = Some((cand, rho));
             }
@@ -54,6 +57,14 @@ impl CwelMaxAlgorithm for MaxGrd {
     }
 
     fn solve(&self, problem: &Problem) -> Solution {
+        self.solve_asking(problem, &problem.oracle())
+    }
+}
+
+impl MaxGrd {
+    /// [`CwelMaxAlgorithm::solve`] asking `oracle` (see
+    /// `SeqGrd::solve_asking`).
+    fn solve_asking(&self, problem: &Problem, oracle: &dyn WelfareOracle) -> Solution {
         let ((alloc, est), elapsed) = timed(|| {
             let free = problem.free_items();
             if free.is_empty() {
@@ -65,7 +76,7 @@ impl CwelMaxAlgorithm for MaxGrd {
 
             // line 1: one pool of max_i b_i prefix-preserved seeds
             let pool = prima_plus(&problem.graph, &sp, &budgets, b_max, &problem.imm);
-            self.best_single_item(problem, &pool.seeds)
+            self.best_single_item(problem, &pool.seeds, oracle)
         });
         debug_assert!(problem.check_feasible(&alloc).is_ok());
         Solution::new(self.name(), alloc, elapsed).with_estimate(est)
@@ -73,15 +84,17 @@ impl CwelMaxAlgorithm for MaxGrd {
 }
 
 /// Run both SeqGRD (in the given mode) and MaxGRD and return the solution
-/// with the higher estimated welfare (evaluated with the problem's own
-/// estimator, common random numbers). When `SP = ∅` this enjoys the
-/// `max(umin/umax, 1/m)(1 − 1/e − ε)` bound.
+/// with the higher estimated welfare (common random numbers; both arms
+/// and the comparison ask one oracle, so an allocation either arm has
+/// already simulated is not simulated again). When `SP = ∅` this enjoys
+/// the `max(umin/umax, 1/m)(1 − 1/e − ε)` bound.
 pub fn best_of(problem: &Problem, seqgrd: SeqGrd) -> Solution {
     let (sol, elapsed) = timed(|| {
-        let a = seqgrd.solve(problem);
-        let b = MaxGrd.solve(problem);
-        let wa = problem.evaluate(&a.allocation);
-        let wb = problem.evaluate(&b.allocation);
+        let oracle = problem.oracle();
+        let a = seqgrd.solve_asking(problem, &oracle);
+        let b = MaxGrd.solve_asking(problem, &oracle);
+        let wa = oracle.welfare(&a.allocation.union(&problem.fixed));
+        let wb = oracle.welfare(&b.allocation.union(&problem.fixed));
         let mut chosen = if wa >= wb { a } else { b };
         chosen.internal_estimate = Some(wa.max(wb));
         chosen.algorithm = format!("BestOf({})", chosen.algorithm);

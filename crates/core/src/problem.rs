@@ -1,6 +1,8 @@
 //! The CWelMax problem instance (Problem 1 of the paper).
 
-use cwelmax_diffusion::{Allocation, SimulationConfig, WelfareEstimator, WelfareReport};
+use cwelmax_diffusion::{
+    Allocation, SimulationConfig, WelfareEstimator, WelfareReport, WorldRecords,
+};
 use cwelmax_graph::Graph;
 use cwelmax_rrset::ImmParams;
 use cwelmax_utility::{ItemId, ItemSet, UtilityModel};
@@ -120,6 +122,13 @@ impl Problem {
     /// A welfare estimator bound to this instance.
     pub fn estimator(&self) -> WelfareEstimator<'_> {
         WelfareEstimator::new(&self.graph, &self.model, self.sim)
+    }
+
+    /// This instance's welfare oracle for one solve: every allocation
+    /// asked about is simulated once and its world record kept for as
+    /// long as the returned value lives (see [`WorldRecords`]).
+    pub fn oracle(&self) -> WorldRecords<'_> {
+        WorldRecords::new(self.estimator())
     }
 
     /// Evaluate the expected social welfare of `alloc ∪ SP` — the objective

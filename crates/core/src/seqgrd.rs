@@ -13,7 +13,7 @@
 
 use crate::problem::Problem;
 use crate::solution::{timed, CwelMaxAlgorithm, Solution};
-use cwelmax_diffusion::Allocation;
+use cwelmax_diffusion::{Allocation, WelfareOracle};
 use cwelmax_rrset::prima::prima_plus;
 
 /// Whether the marginal check (Algorithm 1, lines 8–12) runs.
@@ -48,21 +48,27 @@ impl SeqGrd {
     }
 
     /// Run only the item-assignment stage (Algorithm 1, lines 4–18)
-    /// against a **borrowed, prebuilt** ordered seed pool — the warm path
-    /// `cwelmax-engine` uses: the pool comes from a persistent RR-set
-    /// index, so no sampling happens here. The pool must be
-    /// prefix-preserving for this problem's budgets (PRIMA+ order, or an
-    /// engine index selection); only the first `Σ b_i` seeds are consumed.
+    /// against a **borrowed, prebuilt** ordered seed pool — no sampling
+    /// happens here. The pool must be prefix-preserving for this
+    /// problem's budgets (PRIMA+ order, or an engine index selection);
+    /// only the first `Σ b_i` seeds are consumed.
     pub fn solve_with_pool(&self, problem: &Problem, pool: &[cwelmax_graph::NodeId]) -> Solution {
-        let (alloc, elapsed) = timed(|| self.assign_items(problem, pool));
+        let (alloc, elapsed) = timed(|| self.assign_items(problem, pool, &problem.oracle()));
         debug_assert!(problem.check_feasible(&alloc).is_ok());
         Solution::new(self.name(), alloc, elapsed)
     }
 
     /// Algorithm 1, lines 4–18: give each free item (in decreasing
     /// `E[U⁺(i)]` order) the next block of the pool, with the optional
-    /// marginal check postponing blocking items.
-    fn assign_items(&self, problem: &Problem, pool: &[cwelmax_graph::NodeId]) -> Allocation {
+    /// marginal check postponing blocking items. Every welfare question
+    /// goes to `oracle` — the problem's own for a cold solve, the serving
+    /// engine's cached one for a query.
+    pub fn assign_items(
+        &self,
+        problem: &Problem,
+        pool: &[cwelmax_graph::NodeId],
+        oracle: &dyn WelfareOracle,
+    ) -> Allocation {
         let free = problem.free_items();
         if free.is_empty() {
             return Allocation::new();
@@ -72,7 +78,6 @@ impl SeqGrd {
         // line 4: items in decreasing expected truncated utility
         let order = problem.model.items_by_truncated_utility(free);
 
-        let estimator = problem.estimator();
         let mut alloc = Allocation::new();
         let mut postponed = Vec::new();
 
@@ -86,7 +91,7 @@ impl SeqGrd {
                     // lines 8–12: keep only if the marginal welfare over
                     // the allocation committed so far (plus SP) is positive
                     let base = alloc.union(&problem.fixed);
-                    estimator.marginal_welfare(&candidate, &base) > 0.0
+                    oracle.marginal_welfare(&candidate, &base) > 0.0
                 }
             };
             if accept {
@@ -116,6 +121,14 @@ impl CwelMaxAlgorithm for SeqGrd {
     }
 
     fn solve(&self, problem: &Problem) -> Solution {
+        self.solve_asking(problem, &problem.oracle())
+    }
+}
+
+impl SeqGrd {
+    /// [`CwelMaxAlgorithm::solve`] asking `oracle`, so that `best_of`
+    /// can put both of its arms and its comparison behind one.
+    pub(crate) fn solve_asking(&self, problem: &Problem, oracle: &dyn WelfareOracle) -> Solution {
         let (alloc, elapsed) = timed(|| {
             let free = problem.free_items();
             if free.is_empty() {
@@ -127,7 +140,7 @@ impl CwelMaxAlgorithm for SeqGrd {
 
             // line 2: the prefix-preserving seed pool
             let pool = prima_plus(&problem.graph, &sp, &budgets, b_total, &problem.imm);
-            self.assign_items(problem, &pool.seeds)
+            self.assign_items(problem, &pool.seeds, oracle)
         });
         debug_assert!(problem.check_feasible(&alloc).is_ok());
         Solution::new(self.name(), alloc, elapsed)

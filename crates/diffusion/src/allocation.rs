@@ -88,13 +88,19 @@ impl Allocation {
         a
     }
 
+    /// All pairs in ascending order — the allocation as the set it is,
+    /// however it was assembled; what a cache keys it by.
+    pub fn sorted_pairs(&self) -> Vec<(NodeId, ItemId)> {
+        let mut sorted = self.pairs.clone();
+        sorted.sort_unstable();
+        sorted
+    }
+
     /// Per-node initial desire sets: `(node, items allocated to it)`,
     /// sorted by node.
     pub fn desire_by_node(&self) -> Vec<(NodeId, ItemSet)> {
-        let mut sorted = self.pairs.clone();
-        sorted.sort_unstable();
         let mut out: Vec<(NodeId, ItemSet)> = Vec::new();
-        for (v, i) in sorted {
+        for (v, i) in self.sorted_pairs() {
             match out.last_mut() {
                 Some((node, set)) if *node == v => *set = set.insert(i),
                 _ => out.push((v, ItemSet::singleton(i))),

@@ -24,7 +24,8 @@ use cwelmax_utility::{ItemId, NoiseWorld, UtilityModel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Monte-Carlo parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -88,7 +89,36 @@ impl WelfareReport {
     }
 }
 
+/// Worlds per block of the estimator's float association: an estimate
+/// is `Σ_blocks (Σ_{k ∈ block} x_k)`, blocks of 64 consecutive worlds,
+/// both sums left to right. Every estimate has been pinned to that
+/// association since blocks were what threads owned; it is kept now that
+/// they own nothing, because changing it changes the low bits of every
+/// welfare ever served.
+const BLOCK: usize = 64;
+
+/// Sum one value per world, in world order, in the block association.
+fn block_sum(per_world: impl IntoIterator<Item = f64>) -> f64 {
+    let mut total = 0.0;
+    let mut block = 0.0;
+    let mut filled = 0;
+    for x in per_world {
+        block += x;
+        filled += 1;
+        if filled == BLOCK {
+            total += block;
+            block = 0.0;
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        total += block;
+    }
+    total
+}
+
 /// Monte-Carlo estimator bound to one graph and utility model.
+#[derive(Clone, Copy)]
 pub struct WelfareEstimator<'a> {
     graph: &'a Graph,
     model: &'a UtilityModel,
@@ -116,6 +146,11 @@ impl<'a> WelfareEstimator<'a> {
         self.model
     }
 
+    /// Worlds per estimate.
+    fn samples(&self) -> usize {
+        self.cfg.samples.max(1)
+    }
+
     /// The noise world of sample `k` (shared by every estimate with the
     /// same base seed — part of the common-random-numbers coupling).
     pub fn noise_world_for(&self, k: u64) -> NoiseWorld {
@@ -135,94 +170,119 @@ impl<'a> WelfareEstimator<'a> {
         EdgeWorld::new(world_seed(self.cfg.base_seed, k))
     }
 
-    /// Run world indices `0..samples` in fixed 64-world blocks. Each block
-    /// is accumulated sequentially by one thread and the block sums are
-    /// combined in block order, so the result is bit-for-bit identical for
-    /// any thread count (float addition is non-associative; fixing the
-    /// association fixes the result).
-    fn run_sharded<C, F, G>(&self, width: usize, make_ctx: G, shard: F) -> Vec<f64>
+    /// Run worlds `0..samples`, `world(ctx, k, row)` writing world `k`'s
+    /// `width` values, and return the rows in world order. Threads take
+    /// contiguous runs of worlds, and nothing is summed here: the folds
+    /// over the rows fix the association, so an estimate is bit-for-bit
+    /// the same at any thread count.
+    fn run_worlds<C, G, F>(&self, width: usize, make_ctx: G, world: F) -> Vec<f64>
     where
-        C: Send,
         G: Fn() -> C + Sync,
-        F: Fn(&mut C, Range<u64>, &mut [f64]) + Sync,
+        F: Fn(&mut C, u64, &mut [f64]) + Sync,
     {
-        const BLOCK: u64 = 64;
-        let samples = self.cfg.samples.max(1) as u64;
-        let num_blocks = samples.div_ceil(BLOCK);
-        let threads = (self.cfg.effective_threads() as u64).min(num_blocks).max(1);
-        // thread t owns blocks t, t+T, t+2T, ... — each block is still
-        // summed internally in world order
-        let owned_by = |t: u64| {
+        let samples = self.samples();
+        let mut rows = vec![0.0f64; samples * width];
+        let threads = self
+            .cfg
+            .effective_threads()
+            .clamp(1, samples.div_ceil(BLOCK));
+        let share = samples.div_ceil(threads);
+        let run_share = |t: usize, rows: &mut [f64]| {
             let mut ctx = make_ctx();
-            let mut owned = Vec::new();
-            let mut b = t;
-            while b < num_blocks {
-                let lo = b * BLOCK;
-                let hi = (lo + BLOCK).min(samples);
-                let mut acc = vec![0.0f64; width];
-                shard(&mut ctx, lo..hi, &mut acc);
-                owned.push(acc);
-                b += threads;
+            for (i, row) in rows.chunks_mut(width).enumerate() {
+                world(&mut ctx, (t * share + i) as u64, row);
             }
-            owned
         };
-        // one thread is the caller: a spawn per estimate would be paid by
-        // every single-threaded (i.e. every served) welfare miss
-        let block_sums: Vec<Vec<Vec<f64>>> = if threads == 1 {
-            vec![owned_by(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| scope.spawn(move || owned_by(t)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        };
-        // reassemble in block order: block b lives at thread b % T, slot b / T
-        let mut acc = vec![0.0f64; width];
-        for b in 0..num_blocks {
-            let part = &block_sums[(b % threads) as usize][(b / threads) as usize];
-            for (a, x) in acc.iter_mut().zip(part) {
-                *a += x;
+        // the caller is one of the threads: a spawn per estimate would be
+        // paid by every single-threaded (i.e. every served) welfare miss
+        std::thread::scope(|scope| {
+            let mut shares = rows.chunks_mut(share * width).enumerate();
+            let own = shares.next();
+            for (t, rows) in shares {
+                let run_share = &run_share;
+                scope.spawn(move || run_share(t, rows));
             }
+            if let Some((t, rows)) = own {
+                run_share(t, rows);
+            }
+        });
+        rows
+    }
+
+    /// Column `j` of `rows`, summed in the block association and divided
+    /// by the sample count.
+    fn column_mean(&self, rows: &[f64], width: usize, j: usize) -> f64 {
+        block_sum(rows.iter().skip(j).step_by(width).copied()) / self.samples() as f64
+    }
+
+    /// The world record of `alloc`: `record[k] = ρ_{w_k}(alloc)`, its
+    /// welfare in each of this estimator's worlds. The one expensive
+    /// thing an estimate is made of — [`Self::welfare`] and
+    /// [`Self::marginal_welfare`] are folds over records, and
+    /// [`WorldRecords`] keeps them so that no allocation is simulated
+    /// twice. Nothing propagates from no seeds, so the empty allocation's
+    /// record is all `+0.0` without a pass (what the fixpoint returns for
+    /// it, bit for bit).
+    pub fn world_welfares(&self, alloc: &Allocation) -> Vec<f64> {
+        if alloc.is_empty() {
+            return vec![0.0; self.samples()];
         }
-        acc
+        let m = self.model.num_items();
+        let seeds = alloc.desire_by_node();
+        self.run_worlds(
+            1,
+            || UicContext::new(self.graph.num_nodes(), m),
+            |ctx, k, row| {
+                let nw = self.noise_world_for(k);
+                row[0] = ctx
+                    .run(self.graph, &nw, self.edge_world_for(k), &seeds)
+                    .welfare;
+            },
+        )
+    }
+
+    /// `ρ` from a record.
+    fn record_welfare(&self, record: &[f64]) -> f64 {
+        self.column_mean(record, 1, 0)
+    }
+
+    /// `ρ(with) − ρ(without)` from their records: differences taken world
+    /// by world (common random numbers), then summed.
+    fn record_marginal(&self, with: &[f64], without: &[f64]) -> f64 {
+        block_sum(with.iter().zip(without).map(|(w, wo)| w - wo)) / self.samples() as f64
     }
 
     /// Estimate `ρ(S)`.
     pub fn welfare(&self, alloc: &Allocation) -> f64 {
-        self.welfare_report(alloc).welfare
+        self.record_welfare(&self.world_welfares(alloc))
     }
 
     /// Estimate welfare plus adoption statistics.
     pub fn welfare_report(&self, alloc: &Allocation) -> WelfareReport {
         let m = self.model.num_items();
         let width = 3 + m;
-        let sums = self.run_sharded(
+        let seeds = alloc.desire_by_node();
+        let rows = self.run_worlds(
             width,
             || UicContext::new(self.graph.num_nodes(), m),
-            |ctx, range, acc| {
-                for k in range {
-                    let nw = self.noise_world_for(k);
-                    let o = ctx.run(self.graph, &nw, self.edge_world_for(k), alloc);
-                    acc[0] += o.welfare;
-                    acc[1] += o.adopters as f64;
-                    acc[2] += o.informed as f64;
-                    for (i, &c) in o.adoption_counts.iter().enumerate() {
-                        acc[3 + i] += c as f64;
-                    }
+            |ctx, k, row| {
+                let nw = self.noise_world_for(k);
+                let o = ctx.run(self.graph, &nw, self.edge_world_for(k), &seeds);
+                row[0] = o.welfare;
+                row[1] = o.adopters as f64;
+                row[2] = o.informed as f64;
+                for (cell, &c) in row[3..].iter_mut().zip(&o.adoption_counts) {
+                    *cell = c as f64;
                 }
             },
         );
-        let s = self.cfg.samples.max(1) as f64;
         WelfareReport {
-            welfare: sums[0] / s,
-            total_adopters: sums[1] / s,
-            informed: sums[2] / s,
-            adoption_counts: sums[3..].iter().map(|&x| x / s).collect(),
+            welfare: self.column_mean(&rows, width, 0),
+            total_adopters: self.column_mean(&rows, width, 1),
+            informed: self.column_mean(&rows, width, 2),
+            adoption_counts: (3..width)
+                .map(|j| self.column_mean(&rows, width, j))
+                .collect(),
         }
     }
 
@@ -230,24 +290,11 @@ impl<'a> WelfareEstimator<'a> {
     /// mean (`s / √n`), so reports can carry confidence intervals instead
     /// of bare point estimates.
     pub fn welfare_with_stderr(&self, alloc: &Allocation) -> (f64, f64) {
-        let m = self.model.num_items();
-        let sums = self.run_sharded(
-            2,
-            || UicContext::new(self.graph.num_nodes(), m),
-            |ctx, range, acc| {
-                for k in range {
-                    let nw = self.noise_world_for(k);
-                    let w = ctx
-                        .run(self.graph, &nw, self.edge_world_for(k), alloc)
-                        .welfare;
-                    acc[0] += w;
-                    acc[1] += w * w;
-                }
-            },
-        );
-        let n = self.cfg.samples.max(1) as f64;
-        let mean = sums[0] / n;
-        let var = ((sums[1] / n) - mean * mean).max(0.0);
+        let record = self.world_welfares(alloc);
+        let n = self.samples() as f64;
+        let mean = self.record_welfare(&record);
+        let mean_sq = block_sum(record.iter().map(|w| w * w)) / n;
+        let var = (mean_sq - mean * mean).max(0.0);
         let stderr = if n > 1.0 {
             (var / (n - 1.0)).sqrt()
         } else {
@@ -260,52 +307,33 @@ impl<'a> WelfareEstimator<'a> {
     /// ρ(base)` with common random numbers (both allocations simulated in
     /// identical worlds).
     pub fn marginal_welfare(&self, add: &Allocation, base: &Allocation) -> f64 {
-        let m = self.model.num_items();
-        let combined = base.union(add);
-        let sums = self.run_sharded(
-            1,
-            || UicContext::new(self.graph.num_nodes(), m),
-            |ctx, range, acc| {
-                for k in range {
-                    let nw = self.noise_world_for(k);
-                    let ew = self.edge_world_for(k);
-                    let with = ctx.run(self.graph, &nw, ew, &combined).welfare;
-                    let without = ctx.run(self.graph, &nw, ew, base).welfare;
-                    acc[0] += with - without;
-                }
-            },
-        );
-        sums[0] / self.cfg.samples.max(1) as f64
+        let with = self.world_welfares(&base.union(add));
+        self.record_marginal(&with, &self.world_welfares(base))
     }
 
     /// Estimate the IC spread `σ(seeds)`.
     pub fn spread(&self, seeds: &[NodeId]) -> f64 {
-        let sums = self.run_sharded(
+        let rows = self.run_worlds(
             1,
             || IcContext::new(self.graph.num_nodes()),
-            |ctx, range, acc| {
-                for k in range {
-                    acc[0] += ctx.live_reach(self.graph, self.edge_world_for(k), seeds) as f64;
-                }
+            |ctx, k, row| {
+                row[0] = ctx.live_reach(self.graph, self.edge_world_for(k), seeds) as f64;
             },
         );
-        sums[0] / self.cfg.samples.max(1) as f64
+        self.column_mean(&rows, 1, 0)
     }
 
     /// Estimate the marginal IC spread `σ(seeds | base)`.
     pub fn marginal_spread(&self, seeds: &[NodeId], base: &[NodeId]) -> f64 {
-        let sums = self.run_sharded(
+        let rows = self.run_worlds(
             1,
             || IcContext::new(self.graph.num_nodes()),
-            |ctx, range, acc| {
-                for k in range {
-                    acc[0] +=
-                        ctx.marginal_live_reach(self.graph, self.edge_world_for(k), seeds, base)
-                            as f64;
-                }
+            |ctx, k, row| {
+                row[0] =
+                    ctx.marginal_live_reach(self.graph, self.edge_world_for(k), seeds, base) as f64;
             },
         );
-        sums[0] / self.cfg.samples.max(1) as f64
+        self.column_mean(&rows, 1, 0)
     }
 
     /// Estimate the balanced-exposure objective of Balance-C (Garimella et
@@ -315,29 +343,117 @@ impl<'a> WelfareEstimator<'a> {
         let m = self.model.num_items();
         let n_nodes = self.graph.num_nodes();
         let pair = cwelmax_utility::ItemSet::from_items([items.0, items.1]);
-        let sums = self.run_sharded(
+        let seeds = alloc.desire_by_node();
+        let rows = self.run_worlds(
             1,
             || UicContext::new(n_nodes, m),
-            |ctx, range, acc| {
-                for k in range {
-                    let nw = self.noise_world_for(k);
-                    ctx.run(self.graph, &nw, self.edge_world_for(k), alloc);
-                    let mut both = 0usize;
-                    let mut seen_some = 0usize;
-                    for &v in ctx.last_touched() {
-                        let d = ctx.last_desire(v).intersect(pair);
-                        if d == pair {
-                            both += 1;
-                            seen_some += 1;
-                        } else if !d.is_empty() {
-                            seen_some += 1;
-                        }
+            |ctx, k, row| {
+                let nw = self.noise_world_for(k);
+                ctx.run(self.graph, &nw, self.edge_world_for(k), &seeds);
+                let mut both = 0usize;
+                let mut seen_some = 0usize;
+                for &v in ctx.last_touched() {
+                    let d = ctx.last_desire(v).intersect(pair);
+                    if d == pair {
+                        both += 1;
+                        seen_some += 1;
+                    } else if !d.is_empty() {
+                        seen_some += 1;
                     }
-                    acc[0] += (both + (n_nodes - seen_some)) as f64;
                 }
+                row[0] = (both + (n_nodes - seen_some)) as f64;
             },
         );
-        sums[0] / self.cfg.samples.max(1) as f64
+        self.column_mean(&rows, 1, 0)
+    }
+}
+
+/// One allocation's welfare in each of an estimator's worlds, shared
+/// between the memo that keeps it and the folds that read it.
+type WorldRecord = Rc<[f64]>;
+
+/// A kept record under its allocation's sorted pair list.
+type KeptRecord = (Vec<(NodeId, ItemId)>, WorldRecord);
+
+/// What a solver asks about welfare. A solver's assignment body takes
+/// one of these, so whoever calls it decides what stands between a
+/// question and a simulation: [`WorldRecords`] alone for a cold solve,
+/// the serving engine's cross-query cache in front of it for a served
+/// one.
+pub trait WelfareOracle {
+    /// `ρ(alloc)`.
+    fn welfare(&self, alloc: &Allocation) -> f64;
+
+    /// `ρ(add | base) = ρ(add ∪ base) − ρ(base)` in identical worlds.
+    fn marginal_welfare(&self, add: &Allocation, base: &Allocation) -> f64;
+}
+
+/// The world records of one solve: each allocation a solver or its
+/// caller asks about is simulated once, and every later question about
+/// it — SeqGRD's next base is its last accepted candidate, MaxGRD's
+/// answer is one of its candidates, best-of evaluates both arms, the
+/// caller evaluates the result — is a fold over the kept record. Keyed
+/// by the *sorted* pair list: an allocation is a set, however it was
+/// assembled. Scoped to one solve because a record is only worth its
+/// 8 bytes per world while the questions that share it are being asked;
+/// across queries the engine keeps the folded scalars instead.
+pub struct WorldRecords<'a> {
+    estimator: WelfareEstimator<'a>,
+    /// A handful per solve, so a scan.
+    records: RefCell<Vec<KeptRecord>>,
+    simulated: Cell<u64>,
+    hits: Cell<u64>,
+}
+
+impl<'a> WorldRecords<'a> {
+    /// An empty memo over `estimator`'s worlds.
+    pub fn new(estimator: WelfareEstimator<'a>) -> Self {
+        WorldRecords {
+            estimator,
+            records: RefCell::default(),
+            simulated: Cell::new(0),
+            hits: Cell::new(0),
+        }
+    }
+
+    /// The simulation configuration the records are made under.
+    pub fn config(&self) -> SimulationConfig {
+        self.estimator.cfg
+    }
+
+    /// Worlds simulated so far — the unit of work of a cache miss.
+    pub fn worlds_simulated(&self) -> u64 {
+        self.simulated.get()
+    }
+
+    /// Records asked for again after they were made.
+    pub fn record_hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    fn record(&self, alloc: &Allocation) -> WorldRecord {
+        let key = alloc.sorted_pairs();
+        if let Some((_, kept)) = self.records.borrow().iter().find(|(k, _)| *k == key) {
+            self.hits.set(self.hits.get() + 1);
+            return Rc::clone(kept);
+        }
+        let made: WorldRecord = self.estimator.world_welfares(alloc).into();
+        if !alloc.is_empty() {
+            self.simulated.set(self.simulated.get() + made.len() as u64);
+        }
+        self.records.borrow_mut().push((key, Rc::clone(&made)));
+        made
+    }
+}
+
+impl WelfareOracle for WorldRecords<'_> {
+    fn welfare(&self, alloc: &Allocation) -> f64 {
+        self.estimator.record_welfare(&self.record(alloc))
+    }
+
+    fn marginal_welfare(&self, add: &Allocation, base: &Allocation) -> f64 {
+        let with = self.record(&base.union(add));
+        self.estimator.record_marginal(&with, &self.record(base))
     }
 }
 
@@ -386,28 +502,49 @@ mod tests {
     fn reproducible_across_thread_counts() {
         let g = generators::erdos_renyi(200, 800, 3, PM::WeightedCascade);
         let m = configs::two_item_config(TwoItemConfig::C1);
-        let alloc = Allocation::from_pairs([(0, 0), (5, 1), (10, 0)]);
-        let r1 = WelfareEstimator::new(
-            &g,
-            &m,
-            SimulationConfig {
-                samples: 500,
-                threads: 1,
-                base_seed: 9,
-            },
-        )
-        .welfare_report(&alloc);
-        let r4 = WelfareEstimator::new(
-            &g,
-            &m,
-            SimulationConfig {
-                samples: 500,
-                threads: 4,
-                base_seed: 9,
-            },
-        )
-        .welfare_report(&alloc);
-        assert_eq!(r1, r4, "thread count must not change the estimate");
+        let base = Allocation::from_pairs([(0, 0), (10, 0)]);
+        let add = Allocation::from_pairs([(5, 1)]);
+        let alloc = base.union(&add);
+        let at = |threads| {
+            let est = WelfareEstimator::new(
+                &g,
+                &m,
+                SimulationConfig {
+                    samples: 500,
+                    threads,
+                    base_seed: 9,
+                },
+            );
+            let report = est.welfare_report(&alloc);
+            let marginal = est.marginal_welfare(&add, &base);
+            let (with, without) = (est.world_welfares(&alloc), est.world_welfares(&base));
+            // every scalar is a fold over records, whoever folds
+            assert_eq!(est.welfare(&alloc).to_bits(), report.welfare.to_bits());
+            assert_eq!(
+                marginal.to_bits(),
+                est.record_marginal(&with, &without).to_bits()
+            );
+            // however the union was assembled, and with the base's record
+            // asked for twice
+            let records = WorldRecords::new(est);
+            assert_eq!(
+                records.welfare(&add.union(&base)).to_bits(),
+                report.welfare.to_bits()
+            );
+            assert_eq!(
+                records.marginal_welfare(&add, &base).to_bits(),
+                marginal.to_bits()
+            );
+            assert_eq!(records.welfare(&base), est.welfare(&base));
+            assert_eq!(
+                (records.worlds_simulated(), records.record_hits()),
+                (1000, 2)
+            );
+            (report, marginal.to_bits(), with)
+        };
+        let one = at(1);
+        assert_eq!(one, at(2), "thread count must not change an estimate");
+        assert_eq!(one, at(4), "thread count must not change an estimate");
     }
 
     #[test]

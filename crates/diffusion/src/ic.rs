@@ -14,6 +14,8 @@ pub struct IcContext {
     epoch: Vec<u32>,
     current_epoch: u32,
     queue: Vec<NodeId>,
+    /// Scratch: one node's live targets.
+    live: Vec<NodeId>,
 }
 
 impl IcContext {
@@ -23,6 +25,7 @@ impl IcContext {
             epoch: vec![0; num_nodes],
             current_epoch: 0,
             queue: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -47,11 +50,11 @@ impl IcContext {
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            for e in graph.out_edges(u) {
-                if self.epoch[e.node as usize] != self.current_epoch && world.is_live(e.id, e.prob)
-                {
-                    self.epoch[e.node as usize] = self.current_epoch;
-                    self.queue.push(e.node);
+            let (first_edge, targets, probs) = graph.out_edge_slices(u);
+            for &v in world.gather_live(first_edge, targets, probs, &mut self.live) {
+                if self.epoch[v as usize] != self.current_epoch {
+                    self.epoch[v as usize] = self.current_epoch;
+                    self.queue.push(v);
                     count += 1;
                 }
             }

@@ -25,7 +25,8 @@
 //! * [`ic`] — classic single-item IC spread (the `σ(S)` the bounds of §5
 //!   relate welfare to);
 //! * [`estimate`] — multi-threaded Monte-Carlo estimators for welfare,
-//!   marginal welfare, adoption counts, spread and balanced exposure.
+//!   marginal welfare, adoption counts, spread and balanced exposure, and
+//!   the per-solve memo of world records the solvers ask through.
 
 pub mod allocation;
 pub mod estimate;
@@ -35,7 +36,9 @@ pub mod uic;
 pub mod world;
 
 pub use allocation::Allocation;
-pub use estimate::{SimulationConfig, WelfareEstimator, WelfareReport};
+pub use estimate::{
+    SimulationConfig, WelfareEstimator, WelfareOracle, WelfareReport, WorldRecords,
+};
 pub use fairness::FairnessReport;
 pub use uic::{UicContext, UicOutcome};
 pub use world::EdgeWorld;

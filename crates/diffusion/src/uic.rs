@@ -9,10 +9,15 @@
 //! progressive (never retracted) and the process converges when no new
 //! adoption happens.
 //!
-//! [`UicContext`] owns reusable epoch-stamped node state so that running
+//! [`UicContext`] owns reusable stamped node state so that running
 //! thousands of Monte-Carlo worlds allocates nothing per world.
+//!
+//! Two orders are part of the result, not of the implementation: nodes
+//! enter `touched` in the order seeds are given and deliveries arrive
+//! (frontier order, then edge order), and `welfare` is summed over
+//! `touched` in that order — float addition does not associate, so
+//! reordering either would change the bits every estimate is pinned to.
 
-use crate::allocation::Allocation;
 use crate::world::EdgeWorld;
 use cwelmax_graph::{Graph, NodeId};
 use cwelmax_utility::{ItemSet, NoiseWorld};
@@ -31,151 +36,173 @@ pub struct UicOutcome {
     pub informed: usize,
 }
 
+/// Everything the fixpoint knows about one node, in one record: a
+/// delivery reads and writes a single cache line instead of one per
+/// parallel vector.
+#[derive(Clone, Copy, Default)]
+struct NodeState {
+    /// Stamp of the world that last touched the node; `desire` and
+    /// `adopted` are that world's.
+    world: u32,
+    /// Stamp of the round that last delivered to the node; `pending` is
+    /// that round's.
+    round: u32,
+    desire: u32,
+    adopted: u32,
+    pending: u32,
+}
+
+/// A best response not asked for yet in this world (no itemset: item ids
+/// stay below `cwelmax_utility::MAX_ITEMS` = 20).
+const UNFILLED: u32 = u32::MAX;
+
+/// The best-response table covers models of up to this many items
+/// (`4^m` slots, cleared per world); larger ones ask the noise world
+/// every time.
+const TABLE_MAX_ITEMS: usize = 4;
+
 /// Reusable simulation state for one thread.
 pub struct UicContext {
     num_items: usize,
-    epoch: Vec<u32>,
-    desire: Vec<u32>,
-    adopted: Vec<u32>,
-    current_epoch: u32,
+    nodes: Vec<NodeState>,
+    /// The one counter both stamps are drawn from: it only grows, so a
+    /// stale `world` or `round` can never equal a current one, and
+    /// [`Self::next_stamp`] is the only place it wraps.
+    stamp: u32,
+    /// The current world's stamp.
+    world: u32,
     /// Nodes touched (desire became non-empty) in the current world.
     touched: Vec<NodeId>,
     frontier: Vec<(NodeId, ItemSet)>,
     next_frontier: Vec<(NodeId, ItemSet)>,
-    /// Per-step pending desire additions, keyed by node (epoch-stamped).
-    pending_epoch: Vec<u32>,
-    pending: Vec<u32>,
+    /// Nodes delivered to in the current round, in arrival order.
     pending_nodes: Vec<NodeId>,
-    pending_round: u32,
+    /// Scratch: one frontier node's live targets.
+    live: Vec<NodeId>,
+    /// This world's best responses by `desire << m | adopted`, filled as
+    /// they are asked: a cascade asks a handful of distinct questions
+    /// thousands of times, and each answer is a subset enumeration.
+    responses: Vec<u32>,
 }
 
 impl UicContext {
     /// Allocate state for a graph with `num_nodes` nodes and `num_items`
     /// items.
     pub fn new(num_nodes: usize, num_items: usize) -> UicContext {
+        let slots = if num_items <= TABLE_MAX_ITEMS {
+            1 << (2 * num_items)
+        } else {
+            0
+        };
         UicContext {
             num_items,
-            epoch: vec![0; num_nodes],
-            desire: vec![0; num_nodes],
-            adopted: vec![0; num_nodes],
-            current_epoch: 0,
+            nodes: vec![NodeState::default(); num_nodes],
+            stamp: 0,
+            world: 0,
             touched: Vec::new(),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
-            pending_epoch: vec![0; num_nodes],
-            pending: vec![0; num_nodes],
             pending_nodes: Vec::new(),
-            pending_round: 0,
+            live: Vec::new(),
+            responses: vec![UNFILLED; slots],
         }
     }
 
-    #[inline]
-    fn desire_of(&self, v: NodeId) -> ItemSet {
-        if self.epoch[v as usize] == self.current_epoch {
-            ItemSet(self.desire[v as usize])
-        } else {
-            ItemSet::EMPTY
+    /// A stamp no node carries. When the counter runs out, every stamp
+    /// is forgotten and the world in progress (if any — `touched` is
+    /// empty between worlds) is re-stamped, so the wrap is invisible to
+    /// the fixpoint whichever bump hits it.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            for s in &mut self.nodes {
+                s.world = 0;
+                s.round = 0;
+            }
+            self.world = 1;
+            for &v in &self.touched {
+                self.nodes[v as usize].world = 1;
+            }
+            self.stamp = 1;
         }
+        self.stamp += 1;
+        self.stamp
     }
 
-    #[inline]
-    fn adopted_of(&self, v: NodeId) -> ItemSet {
-        if self.epoch[v as usize] == self.current_epoch {
-            ItemSet(self.adopted[v as usize])
-        } else {
-            ItemSet::EMPTY
-        }
-    }
-
-    #[inline]
-    fn touch(&mut self, v: NodeId) {
-        if self.epoch[v as usize] != self.current_epoch {
-            self.epoch[v as usize] = self.current_epoch;
-            self.desire[v as usize] = 0;
-            self.adopted[v as usize] = 0;
-            self.touched.push(v);
-        }
-    }
-
-    /// Run the UIC fixpoint for `allocation` in the possible world
+    /// Run the UIC fixpoint from `seeds` — an allocation's
+    /// [`desire_by_node`](crate::Allocation::desire_by_node): each seed
+    /// node once, with the items allocated to it — in the possible world
     /// `(edge_world, noise_world)` and return the aggregate outcome.
     pub fn run(
         &mut self,
         graph: &Graph,
         noise_world: &NoiseWorld,
         edge_world: EdgeWorld,
-        allocation: &Allocation,
+        seeds: &[(NodeId, ItemSet)],
     ) -> UicOutcome {
         debug_assert_eq!(noise_world.num_items(), self.num_items);
-        self.begin_world();
+        self.touched.clear();
+        self.frontier.clear();
+        self.next_frontier.clear();
+        self.responses.fill(UNFILLED);
+        self.world = self.next_stamp();
 
         // t = 1: seeds receive their allocated items and adopt.
-        for (v, items) in allocation.desire_by_node() {
+        for &(v, items) in seeds {
             self.touch(v);
-            self.desire[v as usize] |= items.0;
-            let adoption = noise_world.best_response(items, ItemSet::EMPTY);
+            self.nodes[v as usize].desire |= items.0;
+            let adoption = self.best_response(noise_world, items, ItemSet::EMPTY);
             if !adoption.is_empty() {
-                self.adopted[v as usize] = adoption.0;
+                self.nodes[v as usize].adopted = adoption.0;
                 self.frontier.push((v, adoption));
             }
         }
 
         // t ≥ 2: propagate newly adopted items over live edges.
         while !self.frontier.is_empty() {
-            self.pending_round += 1;
+            let round = self.next_stamp();
             self.pending_nodes.clear();
             // deliver this step's new adoptions into neighbours' pending sets
-            let mut k = 0;
-            while k < self.frontier.len() {
-                let (u, new_items) = self.frontier[k];
-                k += 1;
-                for e in graph.out_edges(u) {
-                    if !edge_world.is_live(e.id, e.prob) {
-                        continue;
+            for &(u, new_items) in &self.frontier {
+                let (first_edge, targets, probs) = graph.out_edge_slices(u);
+                for &v in edge_world.gather_live(first_edge, targets, probs, &mut self.live) {
+                    let s = &mut self.nodes[v as usize];
+                    if s.round != round {
+                        s.round = round;
+                        s.pending = 0;
+                        self.pending_nodes.push(v);
                     }
-                    let v = e.node as usize;
-                    if self.pending_epoch[v] != self.pending_round {
-                        self.pending_epoch[v] = self.pending_round;
-                        self.pending[v] = 0;
-                        self.pending_nodes.push(e.node);
-                    }
-                    self.pending[v] |= new_items.0;
+                    s.pending |= new_items.0;
                 }
             }
             self.frontier.clear();
             // all same-step arrivals are combined before the best response
-            let mut idx = 0;
-            while idx < self.pending_nodes.len() {
-                let v = self.pending_nodes[idx];
-                idx += 1;
-                let add = ItemSet(self.pending[v as usize]);
+            for k in 0..self.pending_nodes.len() {
+                let v = self.pending_nodes[k];
                 self.touch(v);
-                let old_desire = ItemSet(self.desire[v as usize]);
-                let new_desire = old_desire.union(add);
-                if new_desire == old_desire {
+                let s = self.nodes[v as usize];
+                let new_desire = s.desire | s.pending;
+                if new_desire == s.desire {
                     continue; // nothing new arrived
                 }
-                self.desire[v as usize] = new_desire.0;
-                let old_adopted = ItemSet(self.adopted[v as usize]);
-                let new_adopted = noise_world.best_response(new_desire, old_adopted);
+                let old_adopted = ItemSet(s.adopted);
+                let new_adopted = self.best_response(noise_world, ItemSet(new_desire), old_adopted);
+                let s = &mut self.nodes[v as usize];
+                s.desire = new_desire;
                 let delta = new_adopted.difference(old_adopted);
                 if !delta.is_empty() {
-                    self.adopted[v as usize] = new_adopted.0;
+                    s.adopted = new_adopted.0;
                     self.next_frontier.push((v, delta));
                 }
             }
             std::mem::swap(&mut self.frontier, &mut self.next_frontier);
         }
 
-        // aggregate
+        // aggregate, in touch order
         let mut welfare = 0.0;
         let mut adopters = 0;
         let mut counts = vec![0usize; self.num_items];
-        let mut informed = 0;
-        for k in 0..self.touched.len() {
-            let v = self.touched[k];
-            informed += 1;
-            let a = ItemSet(self.adopted[v as usize]);
+        for &v in &self.touched {
+            let a = ItemSet(self.nodes[v as usize].adopted);
             if !a.is_empty() {
                 adopters += 1;
                 welfare += noise_world.utility(a);
@@ -188,34 +215,70 @@ impl UicContext {
             welfare,
             adopters,
             adoption_counts: counts,
-            informed,
+            informed: self.touched.len(),
         }
     }
 
-    /// Prepare state for a fresh world (O(1) amortized via epochs).
-    fn begin_world(&mut self) {
-        self.current_epoch = self.current_epoch.wrapping_add(1);
-        if self.current_epoch == 0 {
-            // epoch wrapped: hard reset (once per 2^32 worlds)
-            self.epoch.iter_mut().for_each(|e| *e = 0);
-            self.pending_epoch.iter_mut().for_each(|e| *e = 0);
-            self.current_epoch = 1;
-            self.pending_round = 0;
+    #[inline]
+    fn touch(&mut self, v: NodeId) {
+        let s = &mut self.nodes[v as usize];
+        if s.world != self.world {
+            s.world = self.world;
+            s.desire = 0;
+            s.adopted = 0;
+            self.touched.push(v);
         }
-        self.touched.clear();
-        self.frontier.clear();
-        self.next_frontier.clear();
+    }
+
+    /// `noise_world.best_response(desire, adopted)`, asked once per world.
+    #[inline(always)]
+    fn best_response(
+        &mut self,
+        noise_world: &NoiseWorld,
+        desire: ItemSet,
+        adopted: ItemSet,
+    ) -> ItemSet {
+        let slot = (desire.mask() << self.num_items) | adopted.mask();
+        match self.responses.get(slot) {
+            Some(&answer) if answer != UNFILLED => ItemSet(answer),
+            _ => self.ask(noise_world, desire, adopted, slot),
+        }
+    }
+
+    /// The table's miss path: ask the noise world, and keep the answer
+    /// if this many items have a table at all.
+    #[inline(never)]
+    fn ask(
+        &mut self,
+        noise_world: &NoiseWorld,
+        desire: ItemSet,
+        adopted: ItemSet,
+        slot: usize,
+    ) -> ItemSet {
+        let answer = noise_world.best_response(desire, adopted);
+        if let Some(kept) = self.responses.get_mut(slot) {
+            *kept = answer.0;
+        }
+        answer
+    }
+
+    /// The state of `v` if the last world touched it.
+    #[inline]
+    fn last_state(&self, v: NodeId) -> Option<&NodeState> {
+        Some(&self.nodes[v as usize]).filter(|s| s.world == self.world)
     }
 
     /// After a [`run`](Self::run): the desire set of `v` in the last world.
     pub fn last_desire(&self, v: NodeId) -> ItemSet {
-        self.desire_of(v)
+        self.last_state(v)
+            .map_or(ItemSet::EMPTY, |s| ItemSet(s.desire))
     }
 
     /// After a [`run`](Self::run): the adoption set of `v` in the last
     /// world.
     pub fn last_adopted(&self, v: NodeId) -> ItemSet {
-        self.adopted_of(v)
+        self.last_state(v)
+            .map_or(ItemSet::EMPTY, |s| ItemSet(s.adopted))
     }
 
     /// Nodes whose desire set became non-empty in the last world.
@@ -227,6 +290,7 @@ impl UicContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::Allocation;
     use cwelmax_graph::{generators, GraphBuilder, ProbabilityModel as PM};
     use cwelmax_utility::configs;
 
@@ -242,7 +306,7 @@ mod tests {
     ) -> UicOutcome {
         let mut ctx = UicContext::new(graph.num_nodes(), model.num_items());
         let nw = model.noiseless_world();
-        ctx.run(graph, &nw, EdgeWorld::new(0), alloc)
+        ctx.run(graph, &nw, EdgeWorld::new(0), &alloc.desire_by_node())
     }
 
     #[test]
@@ -338,7 +402,7 @@ mod tests {
         let alloc = Allocation::from_pairs([(0, 0)]);
         let mut ctx = UicContext::new(g.num_nodes(), m.num_items());
         let nw = m.noiseless_world();
-        let o = ctx.run(&g, &nw, EdgeWorld::new(0), &alloc);
+        let o = ctx.run(&g, &nw, EdgeWorld::new(0), &alloc.desire_by_node());
         assert_eq!(o.informed, 2);
         assert_eq!(ctx.last_adopted(2), ItemSet::EMPTY);
         assert_eq!(ctx.last_desire(2), ItemSet::EMPTY);
@@ -362,9 +426,9 @@ mod tests {
         let nw = m.noiseless_world();
         let a1 = Allocation::from_pairs([(0, 0)]);
         let a2 = Allocation::from_pairs([(3, 1)]);
-        let o1 = ctx.run(&g, &nw, EdgeWorld::new(1), &a1);
-        let o2 = ctx.run(&g, &nw, EdgeWorld::new(1), &a2);
-        let o1_again = ctx.run(&g, &nw, EdgeWorld::new(1), &a1);
+        let o1 = ctx.run(&g, &nw, EdgeWorld::new(1), &a1.desire_by_node());
+        let o2 = ctx.run(&g, &nw, EdgeWorld::new(1), &a2.desire_by_node());
+        let o1_again = ctx.run(&g, &nw, EdgeWorld::new(1), &a1.desire_by_node());
         assert_eq!(o1, o1_again, "state must not leak between worlds");
         assert_eq!(o2.adopters, 1); // node 3 has no out-edges
     }
@@ -398,11 +462,42 @@ mod tests {
         let alloc = Allocation::from_pairs([(1, 1), (2, 0)]);
         let mut ctx = UicContext::new(g.num_nodes(), m.num_items());
         let nw = m.noiseless_world();
-        ctx.run(&g, &nw, EdgeWorld::new(0), &alloc);
+        ctx.run(&g, &nw, EdgeWorld::new(0), &alloc.desire_by_node());
         assert_eq!(
             ctx.last_adopted(3),
             ItemSet::singleton(0),
             "3 must pick the better item"
         );
+    }
+
+    #[test]
+    fn stamp_wrap_is_invisible_whichever_bump_hits_it() {
+        // a world of many rounds (one per hop of the path, item 1 trailing
+        // item 0 by a hop) after a shorter one that leaves stale stamps
+        // behind, with the counter 0..=20 bumps short of its end: the wrap
+        // lands on each world bump and each round bump of both in turn
+        let g = generators::path(10, PM::Constant(1.0));
+        let m = configs::two_item_config(configs::TwoItemConfig::C3);
+        let nw = m.noiseless_world();
+        let stale = Allocation::from_pairs([(4, 1)]).desire_by_node();
+        let seeds = Allocation::from_pairs([(0, 0), (1, 1)]).desire_by_node();
+        let mut fresh = UicContext::new(g.num_nodes(), m.num_items());
+        let stale_want = fresh.run(&g, &nw, EdgeWorld::new(0), &stale);
+        let want = fresh.run(&g, &nw, EdgeWorld::new(0), &seeds);
+        assert_eq!(want.adoption_counts, vec![10, 9]);
+        assert!(fresh.stamp < 20, "both worlds fit in the 20 bumps tried");
+        for short in 0..=20 {
+            let mut ctx = UicContext::new(g.num_nodes(), m.num_items());
+            ctx.stamp = u32::MAX - short;
+            assert_eq!(ctx.run(&g, &nw, EdgeWorld::new(0), &stale), stale_want);
+            assert_eq!(ctx.run(&g, &nw, EdgeWorld::new(0), &seeds), want);
+            assert_eq!(ctx.last_touched(), fresh.last_touched(), "{short} short");
+            for v in g.nodes() {
+                assert_eq!(ctx.last_desire(v), fresh.last_desire(v), "{short} short");
+                assert_eq!(ctx.last_adopted(v), fresh.last_adopted(v), "{short} short");
+            }
+            // and the context is sound afterwards
+            assert_eq!(ctx.run(&g, &nw, EdgeWorld::new(0), &seeds), want);
+        }
     }
 }

@@ -15,6 +15,11 @@
 //! The hash is SplitMix64, whose output passes PractRand at this use scale;
 //! each `(seed, edge)` pair yields an independent-looking uniform in `[0,1)`.
 
+use cwelmax_graph::NodeId;
+
+/// `2⁵³`: a coin is the top 53 bits of an edge's hash.
+const COIN_RANGE: f64 = (1u64 << 53) as f64;
+
 /// One sampled edge world.
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeWorld {
@@ -28,7 +33,15 @@ impl EdgeWorld {
         EdgeWorld { seed }
     }
 
+    /// The coin of edge `edge_id`: an integer uniform on `0..2⁵³`.
+    #[inline]
+    fn coin(&self, edge_id: u32) -> u64 {
+        splitmix64(self.seed ^ (edge_id as u64).wrapping_mul(0xa076_1d64_78bd_642f)) >> 11
+    }
+
     /// Is edge `edge_id` (with probability `prob`) live in this world?
+    /// The scalar definition of liveness; [`EdgeWorld::gather_live`]
+    /// decides the same predicate for a node's whole out-neighbourhood.
     #[inline]
     pub fn is_live(&self, edge_id: u32, prob: f32) -> bool {
         if prob >= 1.0 {
@@ -37,10 +50,43 @@ impl EdgeWorld {
         if prob <= 0.0 {
             return false;
         }
-        let h = splitmix64(self.seed ^ (edge_id as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-        // map to [0,1): use the top 53 bits for an unbiased double
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // map to [0,1): the top 53 bits make an unbiased double
+        let u = self.coin(edge_id) as f64 * (1.0 / COIN_RANGE);
         u < prob as f64
+    }
+
+    /// The targets of the live edges among the consecutive edges
+    /// `first_edge..` (the shape of `Graph::out_edge_slices`), in edge
+    /// order, gathered into the front of `scratch` (which only ever
+    /// grows, so a traversal allocates for its widest node once). The
+    /// one place a traversal flips coins.
+    ///
+    /// Liveness here is `coin < p·2⁵³`, which is [`EdgeWorld::is_live`]
+    /// without its branches: scaling by a power of two is exact, so
+    /// `coin·2⁻⁵³ < p` and `coin < p·2⁵³` are one comparison; a coin is
+    /// below `2⁵³`, so `p ≥ 1` is always live; it is at least `0`, so
+    /// `p ≤ 0` never is; and a comparison with NaN is false both ways.
+    /// Every edge writes its target and the length advances by the
+    /// comparison's result, so there is no per-edge branch to mispredict
+    /// (three quarters of scanned edges are dead on the benchmark graph).
+    #[inline]
+    pub fn gather_live<'a>(
+        &self,
+        first_edge: u32,
+        targets: &[NodeId],
+        probs: &[f32],
+        scratch: &'a mut Vec<NodeId>,
+    ) -> &'a [NodeId] {
+        if scratch.len() < targets.len() {
+            scratch.resize(targets.len(), 0);
+        }
+        let mut len = 0;
+        for (k, (&target, &prob)) in targets.iter().zip(probs).enumerate() {
+            scratch[len] = target;
+            let coin = self.coin(first_edge.wrapping_add(k as u32));
+            len += usize::from((coin as f64) < prob as f64 * COIN_RANGE);
+        }
+        &scratch[..len]
     }
 
     /// The underlying seed.
@@ -84,6 +130,49 @@ mod tests {
         for e in 0..100 {
             assert!(w.is_live(e, 1.0));
             assert!(!w.is_live(e, 0.0));
+        }
+    }
+
+    #[test]
+    fn gather_is_filter_is_live() {
+        let probs = [
+            0.0,
+            1.0,
+            1.5,
+            -0.1,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            1.0 - f32::EPSILON,
+            0.25,
+            1.0 / 3.0,
+        ];
+        let targets: Vec<NodeId> = (0..10_000).map(|e| e ^ 0x5a5a).collect();
+        let mut scratch = vec![7; 3]; // stale content must not show
+        for s in 0..100 {
+            let w = EdgeWorld::new(world_seed(13, s));
+            for &p in &probs {
+                // a window that does not start at edge 0 on odd seeds
+                let first = (s as usize % 2) * 137;
+                let got = w.gather_live(
+                    first as u32,
+                    &targets[first..],
+                    &vec![p; targets.len() - first],
+                    &mut scratch,
+                );
+                let want: Vec<NodeId> = (first..targets.len())
+                    .filter(|&e| w.is_live(e as u32, p))
+                    .map(|e| targets[e])
+                    .collect();
+                assert_eq!(got, want, "p = {p}, world {s}");
+            }
+            // and with every probability in one neighbourhood
+            let mixed: Vec<f32> = (0..targets.len()).map(|e| probs[e % 9]).collect();
+            let got = w.gather_live(0, &targets, &mixed, &mut scratch);
+            let want: Vec<NodeId> = (0..targets.len())
+                .filter(|&e| w.is_live(e as u32, mixed[e]))
+                .map(|e| targets[e])
+                .collect();
+            assert_eq!(got, want, "mixed, world {s}");
         }
     }
 

@@ -14,14 +14,17 @@
 //!    item-assignment stage (`SeqGrd::solve_with_pool` /
 //!    `MaxGrd::solve_with_pool`).
 //!
-//! A small welfare-evaluation cache (keyed by model fingerprint ×
-//! allocation × simulation settings) deduplicates the Monte-Carlo work that
-//! repeated or overlapping queries would otherwise redo.
+//! Every welfare number a query needs — the marginals inside SeqGRD and
+//! MaxGRD, best-of's comparison, the answer's own welfare — is asked of
+//! one per-query oracle (`QueryOracle`): the welfare cache first (keyed
+//! by model fingerprint × allocation × base × simulation settings, kept
+//! across queries), then the query's world records (each allocation
+//! simulated at most once per query), and only then a Monte-Carlo pass.
 //!
 //! [`CampaignEngine::query_batch`] answers on the calling thread every
-//! entry the caches already cover — SeqGRD-NM over a resident pool or
-//! view whose welfare is cached, microseconds each — and fans only the
-//! residue that has to simulate out across threads (the engine is
+//! entry the caches already cover — any algorithm over a resident pool
+//! or view, every evaluation of which is cached, microseconds each — and
+//! fans only the residue that has to simulate out across threads (the engine is
 //! immutable-shared, `&self`, by construction). What selects the path is
 //! cache state the engine observes, never a size threshold: a thread
 //! spawn costs more than a dozen cache hits, and less than one
@@ -33,13 +36,13 @@ use crate::error::EngineError;
 use crate::index::graph_fingerprint;
 use crate::lru::LruCache;
 use crate::query::{CampaignAnswer, CampaignQuery, QueryAlgorithm};
-use cwelmax_core::{MaxGrd, Problem, SeqGrd};
-use cwelmax_diffusion::{Allocation, WelfareEstimator};
+use cwelmax_core::{CwelMaxAlgorithm, MaxGrd, Problem, SeqGrd};
+use cwelmax_diffusion::{Allocation, WelfareOracle, WorldRecords};
 use cwelmax_graph::{Graph, NodeId};
 use cwelmax_obs::{Counter, Histogram, MetricsRegistry, SpanGuard, TraceScope};
 use cwelmax_utility::ItemId;
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
@@ -115,6 +118,11 @@ pub struct CampaignEngine {
     welfare_cache_hits: Arc<Counter>,
     welfare_cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
+    /// Worlds simulated for welfare-cache misses — the miss path's unit
+    /// of work; a query answered from the caches adds none.
+    sim_worlds: Arc<Counter>,
+    /// World records a query asked for again after simulating them.
+    world_record_hits: Arc<Counter>,
     conditioned_views: Arc<Counter>,
     conditioned_hits: Arc<Counter>,
     /// Threads spawned for the deferred residue of batches; stays 0
@@ -127,21 +135,27 @@ pub struct CampaignEngine {
 
 /// What [`CampaignEngine::answer`] hands back for a query it stopped
 /// short of: one it was told to defer where the caches end — at an
-/// uncached SP view, a welfare-cache miss, or an algorithm that simulates
-/// inside its solver. The `defer: Option<D>` parameter of the query path
+/// uncached SP view or the first welfare-cache miss. The `defer: Option<D>` parameter of the query path
 /// is `Some(Deferred)` for that, and `None` to do the work instead; the
 /// caller that passes `None` picks `D = Infallible`, so that its answer
 /// cannot be a deferral is a fact of the types.
 #[derive(Debug, Clone, Copy)]
 struct Deferred;
 
-/// Everything a welfare estimate is a function of. The cache is keyed by
-/// this value's 64-bit hash and keeps the value beside the estimate, so a
-/// hash collision is a detected miss, not another query's welfare.
+/// Everything a welfare estimate is a function of: `ρ(pairs)` when `base`
+/// is empty, the marginal `ρ(pairs) − ρ(base)` in identical worlds
+/// otherwise (`base ⊆ pairs`). Both lists are in the order the solver
+/// assembled them — a repeat assembles them the same way, and a lookup
+/// then borrows them unsorted; the same set in another order is only a
+/// miss, which the query's world records (keyed sorted) absorb. The
+/// cache is keyed by this value's 64-bit hash and keeps the
+/// value beside the estimate, so a hash collision is a detected miss, not
+/// another query's welfare.
 #[derive(Debug, Hash, PartialEq)]
 struct WelfareKey<'a> {
     model_fp: u64,
     pairs: Cow<'a, [(NodeId, ItemId)]>,
+    base: Cow<'a, [(NodeId, ItemId)]>,
     samples: usize,
     base_seed: u64,
 }
@@ -218,6 +232,8 @@ impl CampaignEngine {
             welfare_evals: metrics.counter("engine.welfare_evals"),
             welfare_cache_hits: metrics.counter("engine.welfare_cache_hits"),
             welfare_cache_misses: metrics.counter("engine.welfare_cache_misses"),
+            sim_worlds: metrics.counter("engine.sim_worlds"),
+            world_record_hits: metrics.counter("engine.world_record_hits"),
             conditioned_views: metrics.counter("engine.conditioned_views"),
             conditioned_hits: metrics.counter("engine.conditioned_hits"),
             batch_workers: metrics.counter("engine.batch_workers"),
@@ -428,11 +444,6 @@ impl CampaignEngine {
         parent: Option<TraceScope<'_>>,
         defer: Option<D>,
     ) -> Result<Result<CampaignAnswer, D>, EngineError> {
-        // every solver but SeqGRD-NM runs Monte-Carlo marginals inside
-        // `solve_with_pool`, which no cache covers
-        if let (Some(d), true) = (defer, q.algorithm != QueryAlgorithm::SeqGrdNm) {
-            return Ok(Err(d));
-        }
         let start = std::time::Instant::now();
         let mut root = parent.map(|s| s.span("engine.query"));
         if let Some(sp) = root.as_mut() {
@@ -465,45 +476,43 @@ impl CampaignEngine {
             .with_budgets(q.budgets.clone())
             .with_fixed_allocation(q.sp.clone())
             .with_sim(q.sim);
-        let model_fp = model_fingerprint(&q.model);
-        // the objective is ρ(S ∪ SP); for fresh campaigns the union is S.
-        // A deferred evaluation is noted and reads as NaN until the check
-        // below; given `defer`, only SeqGRD-NM's one evaluation gets here
-        let deferred = Cell::new(None);
-        let eval = |alloc: &Allocation| {
-            self.evaluate(&problem, model_fp, &alloc.union(&q.sp), scope, defer)
-                .unwrap_or_else(|d| {
-                    deferred.set(Some(d));
-                    f64::NAN
-                })
+        let oracle = QueryOracle {
+            engine: self,
+            records: problem.oracle(),
+            sp: &q.sp,
+            model_fp: model_fingerprint(&q.model),
+            scope,
+            defer,
+            deferred: Cell::new(None),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+            evictions: Cell::new(0),
+            spans: RefCell::default(),
         };
-
+        let seqgrd = |solver: SeqGrd| {
+            let allocation = solver.assign_items(&problem, pool, &oracle);
+            (solver.name().to_string(), allocation)
+        };
+        let maxgrd = || {
+            let (allocation, _) = MaxGrd.best_single_item(&problem, pool, &oracle);
+            (MaxGrd.name().to_string(), allocation)
+        };
         let (algorithm, allocation) = match q.algorithm {
-            QueryAlgorithm::SeqGrdNm => {
-                let s = SeqGrd::nm().solve_with_pool(&problem, pool);
-                (s.algorithm, s.allocation)
-            }
-            QueryAlgorithm::SeqGrd => {
-                let s = SeqGrd::full().solve_with_pool(&problem, pool);
-                (s.algorithm, s.allocation)
-            }
-            QueryAlgorithm::MaxGrd => {
-                let s = MaxGrd.solve_with_pool(&problem, pool);
-                (s.algorithm, s.allocation)
-            }
+            QueryAlgorithm::SeqGrdNm => seqgrd(SeqGrd::nm()),
+            QueryAlgorithm::SeqGrd => seqgrd(SeqGrd::full()),
+            QueryAlgorithm::MaxGrd => maxgrd(),
             QueryAlgorithm::BestOf => {
-                let a = SeqGrd::full().solve_with_pool(&problem, pool);
-                let b = MaxGrd.solve_with_pool(&problem, pool);
-                let chosen = if eval(&a.allocation) >= eval(&b.allocation) {
+                let (a, b) = (seqgrd(SeqGrd::full()), maxgrd());
+                let (name, chosen) = if oracle.objective(&a.1) >= oracle.objective(&b.1) {
                     a
                 } else {
                     b
                 };
-                (format!("BestOf({})", chosen.algorithm), chosen.allocation)
+                (format!("BestOf({name})"), chosen)
             }
         };
-        let welfare = eval(&allocation);
-        if let Some(d) = deferred.get() {
+        let welfare = oracle.objective(&allocation);
+        if let Err(d) = oracle.finish() {
             discard(root);
             return Ok(Err(d));
         }
@@ -602,66 +611,145 @@ impl CampaignEngine {
             .map(|r| r.expect("every slot filled by the first pass or the residue"))
             .collect()
     }
+}
 
-    /// Cached Monte-Carlo welfare of `alloc` under the query's model/sim;
-    /// `defer` handed back when the cache does not hold it.
-    /// Traced as one `engine.welfare` span per evaluation, with the
-    /// cache outcome attached (a BestOf query legitimately emits
-    /// several).
-    fn evaluate<D>(
+/// One query's welfare oracle, and the only way the engine evaluates
+/// anything: the welfare cache in front of the query's world records in
+/// front of the simulator. The solvers' assignment bodies ask it for
+/// their marginals, [`CampaignEngine::answer`] for best-of's comparison
+/// and the answer's welfare, so a byte-identical repeat of any query is
+/// cache hits from end to end, and within one query an allocation met
+/// twice (SeqGRD's next base, MaxGRD's winner, the final allocation) is
+/// simulated once.
+///
+/// Given `defer`, the first evaluation the cache does not hold ends the
+/// probe: it and every later one read as NaN, and [`Self::finish`] hands
+/// `defer` back. What the query did is tallied here and reaches the
+/// registry and the trace only from `finish`, so a probe that deferred
+/// leaves nothing behind.
+struct QueryOracle<'q, D> {
+    engine: &'q CampaignEngine,
+    records: WorldRecords<'q>,
+    /// The query's prior allocation: its objective is `ρ(S ∪ SP)`.
+    sp: &'q Allocation,
+    model_fp: u64,
+    scope: Option<TraceScope<'q>>,
+    defer: Option<D>,
+    deferred: Cell<Option<D>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
+    /// One stopped `engine.welfare` span per evaluation.
+    spans: RefCell<Vec<SpanGuard<'q>>>,
+}
+
+impl<'q, D: Copy> QueryOracle<'q, D> {
+    /// `ρ(alloc ∪ SP)`; for a fresh campaign the union is `alloc`.
+    fn objective(&self, alloc: &Allocation) -> f64 {
+        self.welfare(&alloc.union(self.sp))
+    }
+
+    /// The estimate `pairs`/`base` name (see [`WelfareKey`]): from the
+    /// welfare cache, else — unless deferring — from `simulate` over the
+    /// query's world records, cached for the next query.
+    fn cached(
         &self,
-        problem: &Problem,
-        model_fp: u64,
-        alloc: &Allocation,
-        scope: Option<TraceScope<'_>>,
-        defer: Option<D>,
-    ) -> Result<f64, D> {
+        pairs: &[(NodeId, ItemId)],
+        base: &[(NodeId, ItemId)],
+        simulate: impl FnOnce(&WorldRecords<'_>) -> f64,
+    ) -> f64 {
+        if self.deferred.get().is_some() {
+            return f64::NAN;
+        }
+        let sim = self.records.config();
         let asked = WelfareKey {
-            model_fp,
-            pairs: Cow::Borrowed(alloc.pairs()),
-            samples: problem.sim.samples,
-            base_seed: problem.sim.base_seed,
+            model_fp: self.model_fp,
+            pairs: Cow::Borrowed(pairs),
+            base: Cow::Borrowed(base),
+            samples: sim.samples,
+            base_seed: sim.base_seed,
         };
         let hash = asked.hash64();
-        let mut span = scope.map(|s| s.span("engine.welfare"));
+        let span = self.scope.map(|s| s.span("engine.welfare"));
         let cached = {
-            let mut cache = crate::lock_recover(&self.cache);
+            let mut cache = crate::lock_recover(&self.engine.cache);
             welfare_lookup(&mut cache, hash, &asked)
         };
-        if let Cached::Hit(w) = cached {
-            self.welfare_evals.incr();
-            self.welfare_cache_hits.incr();
-            if let Some(sp) = span.as_mut() {
-                sp.attr("cache_hit", true);
+        let Cached::Hit(welfare) = cached else {
+            if let Some(d) = self.defer {
+                discard(span);
+                self.deferred.set(Some(d));
+                return f64::NAN;
             }
-            return Ok(w);
+            self.misses.set(self.misses.get() + 1);
+            let before = self.records.worlds_simulated();
+            let welfare = simulate(&self.records);
+            if cached == Cached::Absent {
+                let held = WelfareKey {
+                    pairs: Cow::Owned(pairs.to_vec()),
+                    base: Cow::Owned(base.to_vec()),
+                    ..asked
+                };
+                if crate::lock_recover(&self.engine.cache)
+                    .insert(hash, (held, welfare))
+                    .is_some()
+                {
+                    self.evictions.set(self.evictions.get() + 1);
+                }
+            }
+            self.keep(span, false, self.records.worlds_simulated() - before);
+            return welfare;
+        };
+        self.hits.set(self.hits.get() + 1);
+        self.keep(span, true, 0);
+        welfare
+    }
+
+    /// Close an evaluation's span and hold it until [`Self::finish`].
+    fn keep(&self, span: Option<SpanGuard<'q>>, cache_hit: bool, worlds: u64) {
+        if let Some(mut sp) = span {
+            sp.attr("cache_hit", cache_hit);
+            sp.attr("worlds", worlds);
+            sp.stop();
+            self.spans.borrow_mut().push(sp);
         }
-        if let Some(d) = defer {
-            discard(span);
+    }
+
+    /// The query is answered: commit its tallies and spans — or hand back
+    /// `defer` and drop them, if an evaluation was deferred.
+    fn finish(self) -> Result<(), D> {
+        let spans = self.spans.into_inner();
+        if let Some(d) = self.deferred.get() {
+            spans.into_iter().for_each(SpanGuard::discard);
             return Err(d);
         }
-        self.welfare_evals.incr();
-        self.welfare_cache_misses.incr();
-        if let Some(sp) = span.as_mut() {
-            sp.attr("cache_hit", false);
-        }
-        let est = WelfareEstimator::new(&self.graph, &problem.model, problem.sim);
-        let w = est.welfare(alloc);
-        if cached == Cached::Absent {
-            let held = WelfareKey {
-                model_fp,
-                pairs: Cow::Owned(alloc.pairs().to_vec()),
-                samples: asked.samples,
-                base_seed: asked.base_seed,
-            };
-            if crate::lock_recover(&self.cache)
-                .insert(hash, (held, w))
-                .is_some()
-            {
-                self.cache_evictions.incr();
+        drop(spans);
+        let e = self.engine;
+        for (counter, n) in [
+            (&e.welfare_evals, self.hits.get() + self.misses.get()),
+            (&e.welfare_cache_hits, self.hits.get()),
+            (&e.welfare_cache_misses, self.misses.get()),
+            (&e.cache_evictions, self.evictions.get()),
+            (&e.sim_worlds, self.records.worlds_simulated()),
+            (&e.world_record_hits, self.records.record_hits()),
+        ] {
+            if n > 0 {
+                counter.add(n);
             }
         }
-        Ok(w)
+        Ok(())
+    }
+}
+
+impl<D: Copy> WelfareOracle for QueryOracle<'_, D> {
+    fn welfare(&self, alloc: &Allocation) -> f64 {
+        self.cached(alloc.pairs(), &[], |records| records.welfare(alloc))
+    }
+
+    fn marginal_welfare(&self, add: &Allocation, base: &Allocation) -> f64 {
+        self.cached(base.union(add).pairs(), base.pairs(), |records| {
+            records.marginal_welfare(add, base)
+        })
     }
 }
 
@@ -909,10 +997,55 @@ mod tests {
     }
 
     #[test]
+    fn passes_per_query_are_the_distinct_allocations_it_asks_about() {
+        let e = engine(150, 700, 5, 10);
+        let mut seed = 0x9A55;
+        // worlds simulated by `q` at a Monte-Carlo seed nobody has used,
+        // in units of its sample count; its repeat must simulate none
+        let mut passes = |mut q: CampaignQuery| {
+            seed += 1;
+            q.sim.base_seed = seed;
+            let before = e.sim_worlds.get();
+            let cold = e.query(&q).unwrap();
+            let simulated = e.sim_worlds.get() - before;
+            let misses = e.welfare_cache_misses.get();
+            let warm = e.query(&q).unwrap();
+            assert_eq!(warm.allocation, cold.allocation);
+            assert_eq!(warm.welfare.to_bits(), cold.welfare.to_bits());
+            assert_eq!(e.sim_worlds.get() - before, simulated, "a repeat simulates");
+            assert_eq!(e.welfare_cache_misses.get(), misses, "a repeat misses");
+            assert_eq!(simulated % 200, 0);
+            simulated / 200
+        };
+        // nothing is postponed under soft competition: SeqGRD asks about
+        // its first candidate and the final allocation; MaxGRD about one
+        // candidate per item; best-of about SeqGRD's two and MaxGRD's
+        // other candidate (SeqGRD's first *is* MaxGRD's for that item)
+        let c3 = |algorithm| query(algorithm, TwoItemConfig::C3, 3);
+        assert_eq!(passes(c3(QueryAlgorithm::SeqGrdNm)), 1);
+        assert_eq!(passes(c3(QueryAlgorithm::SeqGrd)), 2);
+        assert_eq!(passes(c3(QueryAlgorithm::MaxGrd)), 2);
+        assert_eq!(passes(c3(QueryAlgorithm::BestOf)), 3);
+        // two items nobody adopts (price above value, no noise): every
+        // marginal is 0, both are postponed, and the final allocation is
+        // one no marginal asked about — a third pass
+        let unsold = cwelmax_utility::UtilityModel::new(
+            cwelmax_utility::TableValue::from_table(2, vec![0.0, 1.0, 1.0, 1.0]),
+            vec![5.0, 5.0],
+            vec![cwelmax_utility::NoiseDist::None; 2],
+        );
+        let postponing =
+            |algorithm| CampaignQuery::new(unsold.clone(), vec![3, 2], algorithm).with_samples(200);
+        assert_eq!(passes(postponing(QueryAlgorithm::SeqGrd)), 3);
+        assert_eq!(passes(postponing(QueryAlgorithm::BestOf)), 3);
+    }
+
+    #[test]
     fn welfare_cache_hit_is_confirmed_by_key_material() {
         let key = |pairs: &'static [(NodeId, ItemId)]| WelfareKey {
             model_fp: 1,
             pairs: Cow::Borrowed(pairs),
+            base: Cow::Borrowed(&[]),
             samples: 100,
             base_seed: 7,
         };
@@ -942,6 +1075,7 @@ mod tests {
         let hash = WelfareKey {
             model_fp: model_fingerprint(&q.model),
             pairs: Cow::Borrowed(want.allocation.pairs()),
+            base: Cow::Borrowed(&[]),
             samples: q.sim.samples,
             base_seed: q.sim.base_seed,
         }

@@ -81,6 +81,20 @@ impl Graph {
         })
     }
 
+    /// The out-edges of `u` as parallel slices — the id of the first (ids
+    /// are consecutive), the targets, the probabilities — for loops that
+    /// want the arrays themselves rather than one [`EdgeRef`] at a time.
+    #[inline]
+    pub fn out_edge_slices(&self, u: NodeId) -> (u32, &[NodeId], &[f32]) {
+        let lo = self.out_offsets[u as usize] as usize;
+        let hi = self.out_offsets[u as usize + 1] as usize;
+        (
+            lo as u32,
+            &self.out_targets[lo..hi],
+            &self.out_probs[lo..hi],
+        )
+    }
+
     /// Iterate the in-edges of `v`. `EdgeRef::node` is the edge source.
     #[inline]
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {

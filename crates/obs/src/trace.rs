@@ -257,6 +257,7 @@ impl<'a> TraceScope<'a> {
             parent: self.parent,
             name,
             start_ns: self.ctx.elapsed_ns(),
+            end_ns: None,
             attrs: Vec::new(),
         }
     }
@@ -279,6 +280,8 @@ pub struct SpanGuard<'a> {
     parent: u64,
     name: &'static str,
     start_ns: u64,
+    /// Set by [`SpanGuard::stop`]; otherwise the span ends when dropped.
+    end_ns: Option<u64>,
     attrs: Vec<(&'static str, AttrValue)>,
 }
 
@@ -298,6 +301,13 @@ impl<'a> SpanGuard<'a> {
 }
 
 impl SpanGuard<'_> {
+    /// End the span now and keep the guard: it is still recorded on drop
+    /// (with this end time) or thrown away by [`SpanGuard::discard`] —
+    /// for work whose fate is decided after it is done.
+    pub fn stop(&mut self) {
+        self.end_ns = Some(self.ctx.elapsed_ns());
+    }
+
     /// Close the span without recording it — for a probe that turned out
     /// not to be the work the span names.
     pub fn discard(self) {
@@ -313,7 +323,7 @@ impl Drop for SpanGuard<'_> {
             parent: self.parent,
             name: self.name,
             start_ns: self.start_ns,
-            end_ns: self.ctx.elapsed_ns(),
+            end_ns: self.end_ns.unwrap_or_else(|| self.ctx.elapsed_ns()),
             attrs: std::mem::take(&mut self.attrs),
         };
         self.ctx.shared.spans.lock().unwrap().push(record);
@@ -737,6 +747,28 @@ mod tests {
         );
         assert!(t.find_span("engine.welfare").is_some());
         assert!(t.find_span("nope").is_none());
+    }
+
+    #[test]
+    fn a_stopped_span_keeps_its_end_time_until_its_fate_is_decided() {
+        let ctx = TraceCtx::new(9, false);
+        let root = ctx.root().span("engine.query");
+        let mut kept = root.scope().span("engine.welfare");
+        kept.stop();
+        let mut dropped = root.scope().span("engine.welfare");
+        dropped.stop();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        drop(kept);
+        dropped.discard();
+        drop(root);
+        let t = ctx.finish();
+        let root = &t.spans[0];
+        assert_eq!(root.children.len(), 1, "the discarded span left nothing");
+        let kept = &root.children[0];
+        assert!(
+            kept.end_ns - kept.start_ns < 5_000_000 && root.end_ns - kept.end_ns >= 5_000_000,
+            "held for 5 ms after it stopped, recorded as it stopped: {kept:?}"
+        );
     }
 
     #[test]

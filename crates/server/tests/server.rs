@@ -298,6 +298,161 @@ fn warm_repeat_query_is_served_from_cache() {
     join.join().unwrap();
 }
 
+/// `answer` minus the one field that times the request.
+fn without_elapsed(answer: &Value) -> Value {
+    let mut fields = answer.as_object().unwrap().clone();
+    assert!(fields.remove("elapsed_seconds").is_some());
+    Value::Object(fields)
+}
+
+#[test]
+fn a_repeated_full_solver_query_simulates_nothing() {
+    let (handle, join) = start(engine());
+    let mut c = Client::connect(&handle);
+    let counter = |name: &str| {
+        let snap = handle.metrics().snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    };
+    let line = |algorithm: &str| {
+        format!(
+            r#"{{"config": "C3", "budgets": [3, 2], "algorithm": "{algorithm}", "samples": 100}}"#
+        )
+    };
+    // cold, on two items, nothing postponed: SeqGRD simulates its first
+    // candidate and its final allocation and nothing else — the empty
+    // base is no pass, the second base is the first candidate's record,
+    // the answer's welfare the second candidate's
+    let first = c.roundtrip(&line("seqgrd"));
+    assert!(ok(&first), "{first:?}");
+    let allocated = first.as_object().unwrap()["allocation"].as_array().unwrap();
+    assert_eq!(allocated.len(), 5, "both items placed: {first:?}");
+    assert_eq!(counter("engine.sim_worlds"), 2 * 100);
+    assert_eq!(counter("engine.welfare_cache_misses"), 3);
+    assert_eq!(counter("engine.world_record_hits"), 2);
+
+    for algorithm in ["seqgrd", "maxgrd", "best-of"] {
+        let cold = c.roundtrip(&line(algorithm));
+        let before = (
+            counter("engine.welfare_cache_misses"),
+            counter("engine.sim_worlds"),
+            counter("engine.queries"),
+        );
+        let warm = c.roundtrip(&line(algorithm));
+        assert!(ok(&warm), "{warm:?}");
+        assert_eq!(
+            without_elapsed(&warm),
+            without_elapsed(&cold),
+            "{algorithm}"
+        );
+        assert_eq!(
+            (
+                counter("engine.welfare_cache_misses"),
+                counter("engine.sim_worlds"),
+                counter("engine.queries"),
+            ),
+            (before.0, before.1, before.2 + 1),
+            "{algorithm}: a byte-identical repeat is cache hits from end to end"
+        );
+    }
+    // best-of after SeqGRD and MaxGRD asked nothing new either
+    assert_eq!(counter("engine.sim_worlds"), 3 * 100);
+
+    // so a batch of warm full-solver entries is answered on the
+    // connection's thread, whatever the core count
+    let batch = format!(
+        r#"{{"type": "batch", "queries": [{}, {}, {}]}}"#,
+        line("seqgrd"),
+        line("best-of"),
+        line("maxgrd")
+    );
+    let r = c.roundtrip(&batch);
+    assert!(ok(&r), "{r:?}");
+    assert_eq!(counter("engine.batch_workers"), 0);
+    assert_eq!(counter("engine.sim_worlds"), 3 * 100);
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn a_deferred_probe_leaves_nothing_behind() {
+    // MaxGRD caches both single-item marginals; SeqGRD on the same
+    // campaign then *hits* on its first marginal and misses on its
+    // second, so a batch's probe of it defers after a hit. Whatever the
+    // probe tallied must be gone: the batch has to leave exactly the
+    // counters, samples and spans of the same entries asked one by one.
+    let maxgrd = r#"{"config": "C3", "budgets": [3, 2], "algorithm": "maxgrd", "samples": 100}"#;
+    let seqgrd = r#"{"config": "C3", "budgets": [3, 2], "algorithm": "seqgrd", "samples": 100}"#;
+    let novel = r#"{"config": "C1", "budgets": [2, 2], "samples": 100, "seed": 41}"#;
+    let state = |handle: &ServerHandle| {
+        let snap = handle.metrics().snapshot();
+        let engine: Vec<(String, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("engine.") && *name != "engine.batch_workers")
+            .map(|(name, n)| (name.clone(), *n))
+            .collect();
+        (engine, snap.histograms["engine.query_ns"].count)
+    };
+
+    let (serial, serial_join) = start(engine());
+    let mut c = Client::connect(&serial);
+    for line in [maxgrd, seqgrd, novel] {
+        assert!(ok(&c.roundtrip(line)));
+    }
+    let want = state(&serial);
+    serial.shutdown();
+    serial_join.join().unwrap();
+
+    let (handle, join) = start(engine());
+    let mut c = Client::connect(&handle);
+    assert!(ok(&c.roundtrip(maxgrd)));
+    let r = c.roundtrip(&format!(
+        r#"{{"v": 2, "trace": "d0", "type": "batch", "queries": [{seqgrd}, {novel}]}}"#
+    ));
+    assert!(ok(&r), "{r:?}");
+    assert_eq!(state(&handle), want);
+
+    let resp = c.roundtrip(r#"{"v": 2, "type": "traces"}"#);
+    let arr = resp.as_object().unwrap()["traces"].as_array().unwrap();
+    let trace = cwelmax_obs::Trace::from_value(&arr[0]).unwrap();
+    assert_eq!(trace.spans.len(), 1, "no orphaned probe span: {trace:?}");
+    let engine_batch = trace.find_span("engine.batch").unwrap();
+    assert_eq!(engine_batch.children.len(), 2, "one engine.query per entry");
+    let evaluations = |query: &cwelmax_obs::SpanNode| -> Vec<(bool, u64)> {
+        query
+            .children
+            .iter()
+            .filter(|s| s.name == "engine.welfare")
+            .map(|s| {
+                let attr = |key: &str| s.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                match (attr("cache_hit"), attr("worlds")) {
+                    (
+                        Some(cwelmax_obs::AttrValue::Bool(hit)),
+                        Some(cwelmax_obs::AttrValue::U64(worlds)),
+                    ) => (*hit, *worlds),
+                    other => panic!("engine.welfare attrs: {other:?}"),
+                }
+            })
+            .collect()
+    };
+    let mut per_query: Vec<_> = engine_batch.children.iter().map(evaluations).collect();
+    per_query.sort();
+    assert_eq!(
+        per_query,
+        [
+            // SeqGRD-NM at a novel seed: one evaluation, one pass
+            vec![(false, 100)],
+            // SeqGRD: the first marginal is MaxGRD's, from the cache; the
+            // second needs both of its records — the base's was never
+            // made in this query — so two passes; the answer's welfare
+            // folds the record the second marginal made
+            vec![(true, 0), (false, 200), (false, 0)],
+        ]
+    );
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn ids_are_echoed_for_pipelined_clients() {
     let (handle, join) = start(engine());
@@ -360,16 +515,15 @@ fn batch_envelope_answers_all_queries_on_one_line() {
     assert_eq!(stats.requests, 1);
     assert_eq!(stats.queries, 2);
     assert_eq!(stats.errors, 1);
-    // Q1's welfare was cached above, Q2 is MaxGRD and simulates in its
-    // solver: one warm entry answered inline, a residue of one run on the
-    // connection's own thread
+    // both were answered above, so every evaluation of Q1 and of Q2 —
+    // MaxGRD's two marginals included — is cached: answered inline
     let workers = || handle.metrics().snapshot().counters["engine.batch_workers"];
     assert_eq!(workers(), 0);
 
     // a mixed batch answers entry for entry what the same lines answer
-    // one at a time: warm hits, a Monte-Carlo seed nobody has asked, a
-    // solver that simulates, an uncached SP, a line that does not parse
-    // and a query the engine rejects
+    // one at a time: warm hits (MaxGRD among them), a Monte-Carlo seed
+    // nobody has asked, an uncached SP, a line that does not parse and a
+    // query the engine rejects
     let entries = [
         Q1.to_string(),
         r#"{"config": "C1", "budgets": [3, 3], "samples": 100, "seed": 99}"#.to_string(),
@@ -384,10 +538,10 @@ fn batch_envelope_answers_all_queries_on_one_line() {
         entries.join(", ")
     ));
     assert!(ok(&r), "{r:?}");
-    // a residue of three (novel seed, MaxGRD, uncached SP) over one
-    // worker per core: chunks of two on two cores, inline on one
+    // a residue of two (novel seed, uncached SP): one worker each, or
+    // inline on a single core
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(workers(), if cores == 1 { 0 } else { cores.min(3) as u64 });
+    assert_eq!(workers(), if cores == 1 { 0 } else { 2 });
     let answers = r.as_object().unwrap()["answers"].as_array().unwrap();
     assert_eq!(answers.len(), entries.len());
     for (k, (entry, got)) in entries.iter().zip(answers).enumerate() {
