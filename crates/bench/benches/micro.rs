@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cwelmax_bench::{network, Scale};
 use cwelmax_diffusion::{Allocation, EdgeWorld, UicContext};
 use cwelmax_graph::generators::benchmark::Network;
-use cwelmax_rrset::{MarginalRr, RrCollection, RrSampler, StandardRr, WeightedRr};
+use cwelmax_rrset::{MarginalRr, RrCollection, RrContext, RrSampler, StandardRr, WeightedRr};
 use cwelmax_utility::configs::{self, TwoItemConfig};
 use cwelmax_utility::{ItemSet, NoiseWorld};
 use rand::rngs::SmallRng;
@@ -37,25 +37,25 @@ fn bench_rr_sampling(c: &mut Criterion) {
     let marginal = MarginalRr::new(g.num_nodes(), &sp);
     let weighted = WeightedRr::new(g.num_nodes(), 1.0, sp.iter().map(|&v| (v, 0.5)));
     let mut group = c.benchmark_group("rr_sampling");
+    // the way `extend_parallel` samples: one context and one member
+    // vector per thread, a fresh stream per set
+    let mut ctx = RrContext::new(g.num_nodes());
+    let mut set = Vec::new();
     let mut seed = 0u64;
-    group.bench_function("standard", |b| {
-        b.iter(|| {
-            seed += 1;
-            standard.sample(&g, &mut SmallRng::seed_from_u64(seed))
-        })
-    });
-    group.bench_function("marginal", |b| {
-        b.iter(|| {
-            seed += 1;
-            marginal.sample(&g, &mut SmallRng::seed_from_u64(seed))
-        })
-    });
-    group.bench_function("weighted", |b| {
-        b.iter(|| {
-            seed += 1;
-            weighted.sample(&g, &mut SmallRng::seed_from_u64(seed))
-        })
-    });
+    let samplers: [(&str, &dyn RrSampler); 3] = [
+        ("standard", &standard),
+        ("marginal", &marginal),
+        ("weighted", &weighted),
+    ];
+    for (name, sampler) in samplers {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                seed += 1;
+                set.clear();
+                sampler.sample_into(&g, &mut SmallRng::seed_from_u64(seed), &mut ctx, &mut set)
+            })
+        });
+    }
     group.finish();
 }
 

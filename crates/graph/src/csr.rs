@@ -107,6 +107,17 @@ impl Graph {
         })
     }
 
+    /// The in-edges of `v` as parallel slices — the sources and the
+    /// probabilities, in [`Graph::in_edges`] order — the mirror of
+    /// [`Graph::out_edge_slices`] for reverse traversals (reverse slots
+    /// carry scattered edge ids, so there is no first id to return).
+    #[inline]
+    pub fn in_edge_slices(&self, v: NodeId) -> (&[NodeId], &[f32]) {
+        let lo = self.in_offsets[v as usize] as usize;
+        let hi = self.in_offsets[v as usize + 1] as usize;
+        (&self.in_sources[lo..hi], &self.in_probs[lo..hi])
+    }
+
     /// Iterate every edge as `(source, target, prob)` in edge-id order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f32)> + '_ {
         (0..self.num_nodes() as NodeId)
@@ -253,6 +264,18 @@ mod tests {
                 assert_eq!(g.out_targets[e.id as usize], v);
                 assert_eq!(g.out_probs[e.id as usize], e.prob);
             }
+        }
+    }
+
+    #[test]
+    fn in_edge_slices_mirror_in_edges() {
+        let g = diamond();
+        for v in g.nodes() {
+            let (sources, probs) = g.in_edge_slices(v);
+            let by_ref: Vec<(u32, f32)> = g.in_edges(v).map(|e| (e.node, e.prob)).collect();
+            let by_slice: Vec<(u32, f32)> =
+                sources.iter().copied().zip(probs.iter().copied()).collect();
+            assert_eq!(by_slice, by_ref);
         }
     }
 

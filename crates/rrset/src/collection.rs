@@ -1,7 +1,7 @@
 //! Collections of (weighted) RR sets and the greedy `NodeSelection`
 //! (Algorithm 5).
 
-use crate::sampler::RrSampler;
+use crate::sampler::{RrContext, RrSampler};
 use cwelmax_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -150,18 +150,32 @@ impl RrCollection {
     /// Add one sampled set (empty sets only bump θ).
     pub fn push(&mut self, set: Vec<NodeId>, weight: f64) {
         self.num_sampled += 1;
-        if set.is_empty() || weight <= 0.0 {
-            return;
-        }
+        let begin = self.members.len();
         self.members.extend_from_slice(&set);
-        self.set_offsets.push(self.members.len());
-        self.weights.push(weight);
+        self.close_set(begin, weight);
+    }
+
+    /// Close the set whose members were appended from `begin` on: retain
+    /// it with its weight or, empty or weightless, drop its members (θ
+    /// counts it either way and is the caller's to bump).
+    fn close_set(&mut self, begin: usize, weight: f64) {
+        if self.members.len() == begin || weight <= 0.0 {
+            self.members.truncate(begin);
+        } else {
+            self.set_offsets.push(self.members.len());
+            self.weights.push(weight);
+        }
     }
 
     /// Sample `count` additional sets in parallel. Set `k` (globally
     /// indexed from the current θ) uses an RNG seeded by `(seed, k)`, so
     /// the collection's contents depend only on `(seed, total count)` —
     /// not on thread scheduling.
+    ///
+    /// The calling thread samples the first share straight into the
+    /// collection; every further thread fills one flat part of its own,
+    /// spliced on in thread order. One thread's worth of work spawns
+    /// nothing.
     pub fn extend_parallel(
         &mut self,
         graph: &Graph,
@@ -170,34 +184,51 @@ impl RrCollection {
         seed: u64,
         threads: usize,
     ) {
-        let start = self.num_sampled as u64;
-        let threads = threads.max(1).min(count.max(1));
+        if count == 0 {
+            return;
+        }
+        let start = self.num_sampled;
+        let threads = threads.clamp(1, count);
         let chunk = count.div_ceil(threads);
-        let shards: Vec<Vec<(Vec<NodeId>, f64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
+        // thread `t`'s share of the stream
+        let share = |t: usize| start + (t * chunk).min(count)..start + ((t + 1) * chunk).min(count);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..threads)
                 .map(|t| {
                     scope.spawn(move || {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(count);
-                        let mut out = Vec::with_capacity(hi.saturating_sub(lo));
-                        for k in lo..hi {
-                            let mut rng =
-                                SmallRng::seed_from_u64(sample_seed(seed, start + k as u64));
-                            out.push(sampler.sample(graph, &mut rng));
-                        }
-                        out
+                        let mut part = RrCollection::new(graph.num_nodes());
+                        part.sample_stream(graph, sampler, seed, share(t));
+                        part
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sampler panicked"))
-                .collect()
-        });
-        for shard in shards {
-            for (set, w) in shard {
-                self.push(set, w);
+            self.sample_stream(graph, sampler, seed, share(0));
+            for handle in handles {
+                let part = handle.join().expect("sampler panicked");
+                let base = self.members.len();
+                self.members.extend_from_slice(&part.members);
+                self.set_offsets
+                    .extend(part.set_offsets[1..].iter().map(|&end| base + end));
+                self.weights.extend_from_slice(&part.weights);
             }
+        });
+        self.num_sampled = start + count;
+    }
+
+    /// Append the retained sets among `indices` of the stream `seed`.
+    fn sample_stream(
+        &mut self,
+        graph: &Graph,
+        sampler: &(impl RrSampler + ?Sized),
+        seed: u64,
+        indices: std::ops::Range<usize>,
+    ) {
+        let mut ctx = RrContext::new(graph.num_nodes());
+        for k in indices {
+            let mut rng = SmallRng::seed_from_u64(sample_seed(seed, k as u64));
+            let begin = self.members.len();
+            let weight = sampler.sample_into(graph, &mut rng, &mut ctx, &mut self.members);
+            self.close_set(begin, weight);
         }
     }
 
@@ -288,15 +319,28 @@ impl RrCollection {
 
 /// Deterministic argmax over per-node greedy gains, shared by
 /// [`RrCollection::greedy_select`] and the frozen-index selection in
-/// `cwelmax-engine`: NaN-safe ([`f64::total_cmp`] gives a total order, so
-/// a poisoned gain sorts deterministically instead of panicking the whole
+/// `cwelmax-engine`: NaN-safe (the order is [`f64::total_cmp`]'s, so a
+/// poisoned gain sorts deterministically instead of panicking the whole
 /// query), ties broken toward the **smaller** node id. Returns `None` only
 /// for an empty slice.
+///
+/// One pass over `total_cmp`'s integer key — the bits with the magnitude
+/// flipped under a set sign, compared as `i64` — keeping the first
+/// maximum: equal keys are equal bits, so a strict `>` is the tie-break.
 pub fn greedy_argmax(gain: &[f64]) -> Option<(usize, f64)> {
-    gain.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(v, &g)| (v, g))
+    let key = |g: f64| {
+        let bits = g.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    };
+    let mut best = 0;
+    let mut best_key = key(*gain.first()?);
+    for (v, &g) in gain.iter().enumerate().skip(1) {
+        if key(g) > best_key {
+            best = v;
+            best_key = key(g);
+        }
+    }
+    Some((best, gain[best]))
 }
 
 /// Result of greedy node selection.

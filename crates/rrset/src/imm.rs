@@ -127,18 +127,55 @@ fn lambda_prime(n: usize, k: usize, eps_prime: f64, ell_prime: f64, wmax: f64) -
         * wmax
 }
 
-/// The sampling phase for one budget `k`: grow `collection` until the
-/// greedy estimate certifies a lower bound on OPT, and return
+/// Phase 1's one growing collection, with the greedy selection of its
+/// current size.
+///
+/// Greedy on a fixed collection is nested — the first `k` picks of a
+/// longer run are the run for `k`, and `coverage[k − 1]` the very float
+/// it ends on — so one selection at the largest budget asked answers
+/// every `(k, doubling step)` until the collection grows.
+struct SearchPhase {
+    collection: RrCollection,
+    /// The largest budget any [`required_theta`] call will ask about.
+    k_max: usize,
+    /// `collection.greedy_select(k_max).coverage` as of `selected_at` sets.
+    coverage: Vec<f64>,
+    selected_at: usize,
+}
+
+impl SearchPhase {
+    fn new(num_nodes: usize, k_max: usize) -> SearchPhase {
+        SearchPhase {
+            collection: RrCollection::new(num_nodes),
+            k_max,
+            coverage: Vec::new(),
+            selected_at: usize::MAX, // no selection yet, whatever θ is
+        }
+    }
+
+    /// The estimate of `collection.greedy_select(k)`, `1 ≤ k ≤ k_max`.
+    fn estimate(&mut self, k: usize) -> f64 {
+        if self.selected_at != self.collection.num_sampled() {
+            self.coverage = self.collection.greedy_select(self.k_max).coverage;
+            self.selected_at = self.collection.num_sampled();
+        }
+        self.collection.estimate(self.coverage[k - 1])
+    }
+}
+
+/// The sampling phase for one budget `k`: grow `search`'s collection
+/// until the greedy estimate certifies a lower bound on OPT, and return
 /// `θ_k = λ*_k / LB_k` — the number of fresh sets the selection phase
 /// needs for this budget. `ell_prime` already includes any union-bound
 /// adjustment (PRIMA+ passes `ℓ' = ℓ + ln |⃗b| / ln n`).
 fn required_theta(
     graph: &Graph,
     sampler: &(impl RrSampler + ?Sized),
-    collection: &mut RrCollection,
+    search: &mut SearchPhase,
     k: usize,
     params: &ImmParams,
     ell_prime: f64,
+    threads: usize,
 ) -> usize {
     let n = graph.num_nodes();
     let wmax = sampler.max_weight();
@@ -146,7 +183,6 @@ fn required_theta(
     let eps_prime = params.eps * std::f64::consts::SQRT_2;
     let l_star = lambda_star(n, k, params.eps, ell_prime, wmax);
     let l_prime = lambda_prime(n, k, eps_prime, ell_prime, wmax);
-    let threads = params.effective_threads();
 
     let mut lb = 1.0f64;
     // ub ≤ 2 (including the degenerate w_max = 0 of a worthless superior
@@ -159,17 +195,17 @@ fn required_theta(
     for i in 1..=max_i.max(0) {
         let x = ub / 2f64.powi(i);
         let theta_i = ((l_prime / x).ceil() as usize).min(params.max_rr_sets);
-        if collection.num_sampled() < theta_i {
-            collection.extend_parallel(
+        let sampled = search.collection.num_sampled();
+        if sampled < theta_i {
+            search.collection.extend_parallel(
                 graph,
                 sampler,
-                theta_i - collection.num_sampled(),
+                theta_i - sampled,
                 params.seed,
                 threads,
             );
         }
-        let sel = collection.greedy_select(k);
-        let est = collection.estimate(sel.total_coverage());
+        let est = search.estimate(k);
         if est >= (1.0 + eps_prime) * x {
             lb = est / (1.0 + eps_prime);
             break;
@@ -240,11 +276,22 @@ pub fn sampled_collection(
     //        + log |⃗b| / log n (union bound over budget prefixes)
     let ell_prime = params.ell + 2f64.ln() / ln_n + (all_budgets.len() as f64).ln().max(0.0) / ln_n;
 
+    let threads = params.effective_threads();
+
     // Phase 1: lower bounds / θ requirements, sharing one growing collection.
-    let mut search = RrCollection::new(n);
+    let k_max = all_budgets[all_budgets.len() - 1].min(n);
+    let mut search = SearchPhase::new(n, k_max);
     let mut theta_needed = 1usize;
     for &k in &all_budgets {
-        let t = required_theta(graph, sampler, &mut search, k.min(n), params, ell_prime);
+        let t = required_theta(
+            graph,
+            sampler,
+            &mut search,
+            k.min(n),
+            params,
+            ell_prime,
+            threads,
+        );
         theta_needed = theta_needed.max(t);
     }
     drop(search);
@@ -256,7 +303,7 @@ pub fn sampled_collection(
         sampler,
         theta_needed,
         params.seed ^ REGEN_SEED_XOR, // decorrelate from the search phase
-        params.effective_threads(),
+        threads,
     );
     fresh
 }
@@ -435,6 +482,92 @@ mod tests {
         let r = imm_select(&g, &sampler, 2, &ImmParams::with_eps(0.5));
         assert_eq!(r.seeds.len(), 2);
         assert_eq!(r.estimate(), 0.0);
+    }
+
+    /// `required_theta` as it stood before the selection was memoised,
+    /// verbatim: one `greedy_select(k)` per doubling step per budget.
+    fn required_theta_per_call(
+        graph: &Graph,
+        sampler: &(impl RrSampler + ?Sized),
+        collection: &mut RrCollection,
+        k: usize,
+        params: &ImmParams,
+        ell_prime: f64,
+    ) -> usize {
+        let n = graph.num_nodes();
+        let wmax = sampler.max_weight();
+        let ub = n as f64 * wmax;
+        let eps_prime = params.eps * std::f64::consts::SQRT_2;
+        let l_star = lambda_star(n, k, params.eps, ell_prime, wmax);
+        let l_prime = lambda_prime(n, k, eps_prime, ell_prime, wmax);
+        let threads = params.effective_threads();
+
+        let mut lb = 1.0f64;
+        let max_i = if ub > 2.0 {
+            ub.log2().floor() as i32 - 1
+        } else {
+            0
+        };
+        for i in 1..=max_i.max(0) {
+            let x = ub / 2f64.powi(i);
+            let theta_i = ((l_prime / x).ceil() as usize).min(params.max_rr_sets);
+            if collection.num_sampled() < theta_i {
+                collection.extend_parallel(
+                    graph,
+                    sampler,
+                    theta_i - collection.num_sampled(),
+                    params.seed,
+                    threads,
+                );
+            }
+            let sel = collection.greedy_select(k);
+            let est = collection.estimate(sel.total_coverage());
+            if est >= (1.0 + eps_prime) * x {
+                lb = est / (1.0 + eps_prime);
+                break;
+            }
+        }
+        ((l_star / lb).ceil() as usize).clamp(1, params.max_rr_sets)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// One selection at the largest budget per collection size
+        /// certifies the same θ, budget by budget, as a selection per
+        /// budget per step — on the same growing collection.
+        #[test]
+        fn memoised_selection_requires_the_same_theta_per_budget(
+            seed in 0u64..10_000,
+            n in 30usize..160,
+            budgets in proptest::collection::vec(1usize..25, 1..6),
+            weighted in proptest::any::<bool>(),
+        ) {
+            let g = generators::erdos_renyi(n, n * 5, seed, PM::WeightedCascade);
+            let sampler: Box<dyn RrSampler> = if weighted {
+                Box::new(WeightedRr::new(n, 2.5, [(1u32, 1.0), (9, 3.0), (20, 0.5)]))
+            } else {
+                Box::new(MarginalRr::new(n, &[2, 11]))
+            };
+            let params = ImmParams { seed, threads: 2, ..ImmParams::with_eps(0.5) };
+            let mut budgets = budgets;
+            budgets.sort_unstable();
+            budgets.dedup();
+            let ell_prime = 1.3;
+
+            let mut search = SearchPhase::new(n, budgets[budgets.len() - 1].min(n));
+            let mut per_call = RrCollection::new(n);
+            for &k in &budgets {
+                let k = k.min(n);
+                let memoised =
+                    required_theta(&g, sampler.as_ref(), &mut search, k, &params, ell_prime, 2);
+                let oracle = required_theta_per_call(
+                    &g, sampler.as_ref(), &mut per_call, k, &params, ell_prime,
+                );
+                proptest::prop_assert_eq!(memoised, oracle, "budget {}", k);
+                proptest::prop_assert_eq!(search.collection.parts(), per_call.parts());
+            }
+        }
     }
 
     #[test]

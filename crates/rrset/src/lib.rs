@@ -31,4 +31,4 @@ pub mod sampler;
 pub use collection::{greedy_argmax, RrCollection};
 pub use imm::{sampled_collection, select_from_collection, ImmParams, ImmResult, REGEN_SEED_XOR};
 pub use prima::{condition_parts, conditioned_collection};
-pub use sampler::{MarginalRr, RrSampler, StandardRr, WeightedRr};
+pub use sampler::{MarginalRr, RrContext, RrSampler, StandardRr, WeightedRr};

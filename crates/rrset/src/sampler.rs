@@ -5,18 +5,69 @@ use cwelmax_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+/// Per-thread reverse-BFS state, reused from set to set: which nodes the
+/// set being sampled already holds. `4·n` bytes, allocated once per
+/// sampling thread.
+pub struct RrContext {
+    /// `visited[v] == epoch` ⇔ `v` is in the set being sampled.
+    visited: Vec<u32>,
+    /// The current set's stamp. It only grows, so a stale stamp can never
+    /// equal a current one, and [`Self::next_epoch`] is the only place it
+    /// wraps (the `UicContext` rule: forget every stamp, start over).
+    epoch: u32,
+}
+
+impl RrContext {
+    /// State for graphs of `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> RrContext {
+        RrContext {
+            visited: vec![0; num_nodes],
+            epoch: 0,
+        }
+    }
+
+    /// A stamp no node carries. No set is in progress between calls, so
+    /// running out of stamps only has to forget the old ones.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.visited.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
 /// A sampler producing one (possibly weighted) RR set per call.
 ///
 /// Implementations must be deterministic functions of the supplied RNG so
 /// that sampling is reproducible and parallelizable by seeding per set
 /// index.
 pub trait RrSampler: Sync {
-    /// Sample one RR set rooted at a uniformly random node.
+    /// Sample one RR set rooted at a uniformly random node: append its
+    /// members to `out` (what `out` already holds is another set's and is
+    /// left alone) and return its weight.
     ///
-    /// Returns the node set and its weight. An *empty* set (weight 0) is a
-    /// valid sample — e.g. a marginal RR set that hit `SP` — and must still
-    /// be counted toward the number of sets generated.
-    fn sample(&self, graph: &Graph, rng: &mut SmallRng) -> (Vec<NodeId>, f64);
+    /// Appending nothing is a valid sample — e.g. a marginal RR set that
+    /// hit `SP` — and must still be counted toward the number of sets
+    /// generated; so is a set of weight 0.
+    fn sample_into(
+        &self,
+        graph: &Graph,
+        rng: &mut SmallRng,
+        ctx: &mut RrContext,
+        out: &mut Vec<NodeId>,
+    ) -> f64;
+
+    /// [`RrSampler::sample_into`] with a context and a vector of its own:
+    /// the node set and its weight. For tests and one-off samples —
+    /// anything sampling in a loop keeps an [`RrContext`].
+    fn sample(&self, graph: &Graph, rng: &mut SmallRng) -> (Vec<NodeId>, f64) {
+        let mut set = Vec::new();
+        let mut ctx = RrContext::new(graph.num_nodes());
+        let weight = self.sample_into(graph, rng, &mut ctx, &mut set);
+        (set, weight)
+    }
 
     /// The largest weight any sampled set can carry (`w_max`). 1 for
     /// unweighted samplers.
@@ -25,104 +76,42 @@ pub trait RrSampler: Sync {
     }
 }
 
-/// Shared reverse-BFS engine. Returns the visited set; stops early when
-/// `stop_at` yields true for a newly added node (the node is still
-/// included).
+/// The shared reverse BFS: appends the visited set to `out`, which is its
+/// own queue; stops early when `stop_at` yields true for a newly added
+/// node (the node is still included).
+///
+/// The draws are the sampling contract (DESIGN §3): one `gen::<f32>()`
+/// per in-neighbour not yet in the set, in in-edge order, none for a
+/// member — so what tells members apart may change, the stream may not.
 fn reverse_bfs(
     graph: &Graph,
     root: NodeId,
     rng: &mut SmallRng,
+    ctx: &mut RrContext,
+    out: &mut Vec<NodeId>,
     mut stop_at: impl FnMut(NodeId) -> bool,
-) -> Vec<NodeId> {
-    let mut set = vec![root];
+) {
+    let mut head = out.len();
+    out.push(root);
     if stop_at(root) {
-        return set;
+        return;
     }
-    let mut visited = SmallVisited::new();
-    visited.insert(root);
-    let mut head = 0;
-    while head < set.len() {
-        let u = set[head];
+    let epoch = ctx.next_epoch();
+    let visited = &mut ctx.visited[..];
+    visited[root as usize] = epoch;
+    while head < out.len() {
+        let (sources, probs) = graph.in_edge_slices(out[head]);
         head += 1;
-        for e in graph.in_edges(u) {
-            if visited.contains(e.node) {
+        for (&v, &p) in sources.iter().zip(probs) {
+            if visited[v as usize] == epoch {
                 continue;
             }
-            if rng.gen::<f32>() < e.prob {
-                visited.insert(e.node);
-                set.push(e.node);
-                if stop_at(e.node) {
-                    return set;
-                }
-            }
-        }
-    }
-    set
-}
-
-/// A tiny hash-set specialized for RR sets, which are usually small: open
-/// addressing over a power-of-two table grown on demand. Avoids the
-/// per-sample allocation churn of `std::collections::HashSet` with its
-/// SipHash.
-struct SmallVisited {
-    table: Vec<u32>,
-    mask: usize,
-    len: usize,
-}
-
-const EMPTY_SLOT: u32 = u32::MAX;
-
-impl SmallVisited {
-    fn new() -> SmallVisited {
-        SmallVisited {
-            table: vec![EMPTY_SLOT; 16],
-            mask: 15,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, v: u32) -> usize {
-        // fibonacci hashing
-        ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
-    }
-
-    fn contains(&self, v: u32) -> bool {
-        let mut s = self.slot(v);
-        loop {
-            match self.table[s] {
-                x if x == v => return true,
-                EMPTY_SLOT => return false,
-                _ => s = (s + 1) & self.mask,
-            }
-        }
-    }
-
-    fn insert(&mut self, v: u32) {
-        if self.len * 4 >= self.table.len() * 3 {
-            self.grow();
-        }
-        let mut s = self.slot(v);
-        loop {
-            match self.table[s] {
-                x if x == v => return,
-                EMPTY_SLOT => {
-                    self.table[s] = v;
-                    self.len += 1;
+            if rng.gen::<f32>() < p {
+                visited[v as usize] = epoch;
+                out.push(v);
+                if stop_at(v) {
                     return;
                 }
-                _ => s = (s + 1) & self.mask,
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let old = std::mem::replace(&mut self.table, vec![EMPTY_SLOT; (self.mask + 1) * 2]);
-        self.mask = self.table.len() - 1;
-        self.len = 0;
-        for v in old {
-            if v != EMPTY_SLOT {
-                self.insert(v);
             }
         }
     }
@@ -133,13 +122,20 @@ impl SmallVisited {
 pub struct StandardRr;
 
 impl RrSampler for StandardRr {
-    fn sample(&self, graph: &Graph, rng: &mut SmallRng) -> (Vec<NodeId>, f64) {
+    fn sample_into(
+        &self,
+        graph: &Graph,
+        rng: &mut SmallRng,
+        ctx: &mut RrContext,
+        out: &mut Vec<NodeId>,
+    ) -> f64 {
         let n = graph.num_nodes();
         if n == 0 {
-            return (Vec::new(), 0.0);
+            return 0.0;
         }
         let root = rng.gen_range(0..n as u32);
-        (reverse_bfs(graph, root, rng, |_| false), 1.0)
+        reverse_bfs(graph, root, rng, ctx, out, |_| false);
+        1.0
     }
 }
 
@@ -164,25 +160,30 @@ impl MarginalRr {
 }
 
 impl RrSampler for MarginalRr {
-    fn sample(&self, graph: &Graph, rng: &mut SmallRng) -> (Vec<NodeId>, f64) {
+    fn sample_into(
+        &self,
+        graph: &Graph,
+        rng: &mut SmallRng,
+        ctx: &mut RrContext,
+        out: &mut Vec<NodeId>,
+    ) -> f64 {
         let n = graph.num_nodes();
         if n == 0 {
-            return (Vec::new(), 0.0);
+            return 0.0;
         }
         let root = rng.gen_range(0..n as u32);
+        let start = out.len();
         let mut hit = false;
-        let set = reverse_bfs(graph, root, rng, |v| {
-            if self.in_sp[v as usize] {
-                hit = true;
-                true // stop immediately; the set will be discarded anyway
-            } else {
-                false
-            }
+        reverse_bfs(graph, root, rng, ctx, out, |v| {
+            // stop immediately; the set will be discarded anyway
+            hit = self.in_sp[v as usize];
+            hit
         });
         if hit {
-            (Vec::new(), 0.0)
+            out.truncate(start);
+            0.0
         } else {
-            (set, 1.0)
+            1.0
         }
     }
 }
@@ -231,14 +232,20 @@ impl WeightedRr {
 }
 
 impl RrSampler for WeightedRr {
-    fn sample(&self, graph: &Graph, rng: &mut SmallRng) -> (Vec<NodeId>, f64) {
+    fn sample_into(
+        &self,
+        graph: &Graph,
+        rng: &mut SmallRng,
+        ctx: &mut RrContext,
+        out: &mut Vec<NodeId>,
+    ) -> f64 {
         let n = graph.num_nodes();
         if n == 0 {
-            return (Vec::new(), 0.0);
+            return 0.0;
         }
         let root = rng.gen_range(0..n as u32);
         let mut best_sp = f64::NEG_INFINITY;
-        let set = reverse_bfs(graph, root, rng, |v| {
+        reverse_bfs(graph, root, rng, ctx, out, |v| {
             let u = self.sp_item_utility[v as usize];
             if u > f64::NEG_INFINITY {
                 best_sp = best_sp.max(u);
@@ -252,8 +259,7 @@ impl RrSampler for WeightedRr {
         } else {
             0.0
         };
-        let w = (self.superior_utility - displaced).max(0.0);
-        (set, w)
+        (self.superior_utility - displaced).max(0.0)
     }
 
     fn max_weight(&self) -> f64 {
@@ -398,17 +404,28 @@ mod tests {
     }
 
     #[test]
-    fn small_visited_set_works() {
-        let mut v = SmallVisited::new();
-        for i in (0..1000).step_by(7) {
-            assert!(!v.contains(i));
-            v.insert(i);
-            assert!(v.contains(i));
+    fn stamp_wrap_is_invisible() {
+        // dense and likely edges: sets are large and full of cycles, so a
+        // node wrongly taken for visited (or for new) changes the set
+        let g = generators::erdos_renyi(60, 600, 4, PM::Constant(0.5));
+        let shared = |ctx: &mut RrContext, k: u64| {
+            let mut set = Vec::new();
+            let w = StandardRr.sample_into(&g, &mut rng(k), ctx, &mut set);
+            (set, w)
+        };
+        let mut ctx = RrContext::new(60);
+        // leave low stamps behind — the ones the counter hands out again
+        // after the wrap — then start a few sets below it
+        for k in 0..8 {
+            shared(&mut ctx, k);
         }
-        for i in (0..1000).step_by(7) {
-            assert!(v.contains(i));
+        ctx.epoch = u32::MAX - 3;
+        for k in 8..20 {
+            let fresh = StandardRr.sample(&g, &mut rng(k));
+            assert!(fresh.0.len() > 5, "set {k} is too small to tell");
+            assert_eq!(shared(&mut ctx, k), fresh, "set {k}");
         }
-        assert!(!v.contains(3));
+        assert!(ctx.epoch < 20, "the counter wrapped");
     }
 
     #[test]
