@@ -1,13 +1,15 @@
-//! Low-level binary codec for engine snapshots: little-endian section
+//! Low-level binary codec for the store's files: little-endian section
 //! framing plus a CRC-32 integrity check.
 //!
-//! A snapshot is `header ‖ payload ‖ crc32(payload)`:
+//! Every file in the family — a store's manifest and shards, and each
+//! journal record — is `header ‖ payload ‖ crc32(payload)`:
 //!
 //! ```text
-//! magic   u32le   "CWRX"
+//! magic   u32le   one per file kind, so no file parses as another
 //! version u32le
 //! length  u64le   payload byte length
-//! payload [u8]    section data (see `snapshot.rs`)
+//! payload [u8]    section data (see `cwelmax-store`'s `format` and
+//!                 `journal` modules)
 //! crc     u32le   CRC-32 (IEEE) over payload only
 //! ```
 //!
@@ -19,17 +21,6 @@
 
 use crate::error::EngineError;
 use bytes::{Buf, BufMut, BytesMut};
-
-/// Snapshot file magic: `CWRX` ("CWelmax RR-set indeX").
-pub const MAGIC: u32 = 0x4357_5258;
-
-/// First snapshot format version: canonical index data only.
-pub const VERSION_V1: u32 = 1;
-
-/// Current snapshot format version. Version 2 appends an optional
-/// conditioned-views section (persisted SP node sets); version-1 files
-/// remain loadable — the reader treats the missing section as "no views".
-pub const VERSION: u32 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the same
 /// polynomial zlib/PNG use. Table-driven, one table built at first use.
@@ -57,22 +48,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Frame a payload at the current format version: header + payload +
-/// trailing CRC.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    frame_with_version(VERSION, payload)
-}
-
-/// Frame a payload at an explicit version (compatibility tests write
-/// genuine v1 files with this).
-pub fn frame_with_version(version: u32, payload: &[u8]) -> Vec<u8> {
-    frame_tagged(MAGIC, version, payload)
-}
-
-/// Frame a payload under an arbitrary file magic — the general form every
-/// engine-family artifact uses (`CWRX` snapshots here; the sharded store's
-/// manifest and shard files in `cwelmax-store` carry their own magics so a
-/// file can never be parsed as the wrong kind).
+/// Frame a payload under a file kind's magic and format version.
 pub fn frame_tagged(magic: u32, version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(payload.len() + 20);
     out.put_u32_le(magic);
@@ -83,13 +59,8 @@ pub fn frame_tagged(magic: u32, version: u32, payload: &[u8]) -> Vec<u8> {
     out.to_vec()
 }
 
-/// Unframe: verify magic, version, length and CRC; return the format
-/// version (any supported one: `VERSION_V1..=VERSION`) and the payload.
-pub fn unframe(bytes: &[u8]) -> Result<(u32, &[u8]), EngineError> {
-    unframe_tagged(MAGIC, VERSION_V1..=VERSION, bytes)
-}
-
-/// [`unframe`] under an arbitrary magic and supported-version range.
+/// Unframe: verify magic, version (within `supported`), length and CRC;
+/// return the format version and the payload.
 pub fn unframe_tagged(
     magic: u32,
     supported: std::ops::RangeInclusive<u32>,
@@ -97,7 +68,7 @@ pub fn unframe_tagged(
 ) -> Result<(u32, &[u8]), EngineError> {
     if bytes.len() < 20 {
         return Err(EngineError::Corrupt(format!(
-            "snapshot too short: {} bytes",
+            "store file too short: {} bytes",
             bytes.len()
         )));
     }
@@ -281,30 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_unframe_roundtrip() {
-        let payload = b"hello snapshot payload".to_vec();
-        let framed = frame(&payload);
-        assert_eq!(unframe(&framed).unwrap(), (VERSION, &payload[..]));
-    }
-
-    #[test]
-    fn v1_frames_are_still_accepted() {
-        let payload = b"legacy payload".to_vec();
-        let framed = frame_with_version(VERSION_V1, &payload);
-        assert_eq!(unframe(&framed).unwrap(), (VERSION_V1, &payload[..]));
-        // future versions are rejected with a precise error
-        match unframe(&frame_with_version(VERSION + 1, &payload)) {
-            Err(EngineError::UnsupportedVersion(v)) => assert_eq!(v, VERSION + 1),
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-        // version 0 never existed
-        assert!(matches!(
-            unframe(&frame_with_version(0, &payload)),
-            Err(EngineError::UnsupportedVersion(0))
-        ));
-    }
-
-    #[test]
     fn tagged_frames_are_magic_and_version_checked() {
         let framed = frame_tagged(0xDEAD_BEEF, 3, b"payload");
         assert_eq!(
@@ -321,26 +268,33 @@ mod tests {
             unframe_tagged(0xDEAD_BEEF, 1..=2, &framed),
             Err(EngineError::UnsupportedVersion(3))
         ));
-        // snapshot frames never unframe under a foreign magic
-        assert!(unframe_tagged(0xDEAD_BEEF, 1..=3, &frame(b"payload")).is_err());
+        // a frame never unframes under a foreign magic
+        let foreign = frame_tagged(0xFEED_FACE, 3, b"payload");
+        assert!(unframe_tagged(0xDEAD_BEEF, 1..=3, &foreign).is_err());
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
         let payload: Vec<u8> = (0..200u8).collect();
-        let framed = frame(&payload);
+        let framed = frame_tagged(0xDEAD_BEEF, 1, &payload);
         for i in 0..framed.len() {
             let mut bad = framed.clone();
             bad[i] ^= 0x40;
-            assert!(unframe(&bad).is_err(), "flip at byte {i} must be detected");
+            assert!(
+                unframe_tagged(0xDEAD_BEEF, 1..=1, &bad).is_err(),
+                "flip at byte {i} must be detected"
+            );
         }
     }
 
     #[test]
     fn truncation_is_detected() {
-        let framed = frame(b"payload");
+        let framed = frame_tagged(0xDEAD_BEEF, 1, b"payload");
         for cut in 0..framed.len() {
-            assert!(unframe(&framed[..cut]).is_err(), "truncation to {cut}");
+            assert!(
+                unframe_tagged(0xDEAD_BEEF, 1..=1, &framed[..cut]).is_err(),
+                "truncation to {cut}"
+            );
         }
     }
 

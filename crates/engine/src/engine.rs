@@ -31,7 +31,7 @@
 //! Monte-Carlo estimate.
 
 use crate::backend::{IndexBackend, StorageStats};
-use crate::conditioned::{validated_sp_nodes, ConditionedCache, ConditionedView};
+use crate::conditioned::{ConditionedCache, ConditionedView};
 use crate::error::EngineError;
 use crate::index::graph_fingerprint;
 use crate::lru::LruCache;
@@ -244,15 +244,6 @@ impl CampaignEngine {
         })
     }
 
-    /// Derive (and cache) the SP-conditioned view for `sp_nodes` ahead
-    /// of traffic — `EngineBuilder::prewarm_sp`'s build-time hook.
-    pub(crate) fn prewarm_view(&self, sp_nodes: &[NodeId]) -> Result<(), EngineError> {
-        let nodes = validated_sp_nodes(self.backend.num_nodes(), sp_nodes)?;
-        let (_, hit) = self.conditioned_view(&nodes, None)?;
-        self.count_view(hit);
-        Ok(())
-    }
-
     /// The shared graph.
     pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
@@ -330,12 +321,11 @@ impl CampaignEngine {
     }
 
     /// The SP-conditioned view for `sp_nodes` (canonical — a query's
-    /// `seed_nodes()`, or [`validated_sp_nodes`]' output) and whether the
-    /// cache held it. A cache miss derives under an
-    /// `engine.conditioned_derive` span (when traced) carrying the SP
-    /// fingerprint and how many sets SP covered; the backend gets the
-    /// span's child scope so storage-side work (shard faults) nests
-    /// under the derive. The caller counts the outcome
+    /// `seed_nodes()`) and whether the cache held it. A cache miss
+    /// derives under an `engine.conditioned_derive` span (when traced)
+    /// carrying the SP fingerprint and how many sets SP covered; the
+    /// backend gets the span's child scope so storage-side work (shard
+    /// faults) nests under the derive. The caller counts the outcome
     /// ([`Self::count_view`]) once the query it serves is past its last
     /// deferral point.
     fn conditioned_view(

@@ -23,10 +23,9 @@ pub enum ErrorKind {
     /// A well-formed query the engine cannot serve (budget/model
     /// mismatch, budget above the index cap, out-of-range SP). Code 422.
     BadQuery,
-    /// Snapshot/store format version not supported by this build. Code
-    /// 426.
+    /// Store file format version not supported by this build. Code 426.
     UnsupportedVersion,
-    /// Corrupt snapshot, manifest, or shard bytes. Code 500.
+    /// Corrupt manifest, shard, or journal bytes. Code 500.
     Corrupt,
     /// Filesystem-level failure under the index backend. Code 502 —
     /// retryable: a transient I/O error may clear.
@@ -100,10 +99,10 @@ impl fmt::Display for ErrorKind {
 pub enum EngineError {
     /// Filesystem-level failure.
     Io(std::io::Error),
-    /// The snapshot bytes are malformed: bad magic, truncation, checksum
-    /// mismatch, or invalid structural invariants.
+    /// A store file's bytes are malformed: bad magic, truncation,
+    /// checksum mismatch, or invalid structural invariants.
     Corrupt(String),
-    /// Snapshot format version is not supported by this build.
+    /// A store file's format version is not supported by this build.
     UnsupportedVersion(u32),
     /// The index was built for a different graph than the one supplied.
     GraphMismatch { expected: u64, actual: u64 },
@@ -120,9 +119,9 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Io(e) => write!(f, "io error: {e}"),
-            EngineError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
+            EngineError::Corrupt(msg) => write!(f, "corrupt store file: {msg}"),
             EngineError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v}")
+                write!(f, "unsupported store file version {v}")
             }
             EngineError::GraphMismatch { expected, actual } => write!(
                 f,

@@ -5,7 +5,7 @@
 //! call. `RrIndex` freezes a collection into a read-optimized layout:
 //!
 //! * flattened set storage (`set_offsets` / `members` / `weights`) — the
-//!   canonical data the snapshot format persists;
+//!   canonical data a store's shards and journal persist;
 //! * a precomputed inverted postings list (`post_offsets` / `postings`,
 //!   node → ids of the sets containing it) — derived, rebuilt on load;
 //! * build metadata (`ε`, `ℓ`, sampling seed, supported budget cap, and a
@@ -29,7 +29,8 @@ use cwelmax_rrset::collection::GreedySelection;
 use cwelmax_rrset::{sampled_collection, ImmParams, RrCollection, StandardRr};
 use std::ops::Deref;
 
-/// Build-time metadata carried by an index (and persisted in snapshots).
+/// Build-time metadata carried by an index (and persisted in a store's
+/// manifest).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexMeta {
     /// IMM accuracy `ε` the θ requirement was computed for.
@@ -162,9 +163,10 @@ impl RrIndex {
         }
     }
 
-    /// Validating constructor for the snapshot load path: structural checks
-    /// are delegated to [`RrCollection::from_parts`] so corrupt inputs that
-    /// slip past the checksum surface as errors, not UB or panics.
+    /// Validating constructor for the store's load paths (shard faults,
+    /// journal replay): structural checks are delegated to
+    /// [`RrCollection::from_parts`] so corrupt inputs that slip past the
+    /// checksum surface as errors, not UB or panics.
     pub fn from_canonical(
         num_nodes: usize,
         num_sampled: usize,

@@ -13,10 +13,11 @@
 //!   [`cwelmax_rrset::RrCollection`], with an inverted node → RR-set
 //!   postings layout so coverage updates during greedy selection cost
 //!   `O(postings touched)` with no per-call index construction;
-//! * [`snapshot`] — a versioned, checksummed binary snapshot format
-//!   ([`codec`]: magic/version header, little-endian sections, CRC-32 over
-//!   the payload) with [`snapshot::save`] / [`snapshot::load`] round-trip,
-//!   so an index built once on a large graph is reused across processes;
+//! * [`codec`] — the frame every persisted file shares (magic/version
+//!   header, little-endian sections, CRC-32 over the payload); the one
+//!   persisted form of an index is `cwelmax-store`'s sharded, journaled
+//!   store, so an index built once on a large graph is reused across
+//!   processes;
 //! * [`conditioned`] — SP-conditioned views of the frozen index: marginal
 //!   sampling is standard sampling plus a filter, so **follow-up**
 //!   campaigns (fixed prior allocation `SP`) are also served warm, from a
@@ -28,9 +29,8 @@
 //!   welfare-evaluation cache, and batches whose cache-covered entries are
 //!   answered inline while the rest run in parallel;
 //! * [`EngineBuilder`] — the **one** way to assemble an engine: pick a
-//!   source (`from_snapshot` / `from_index` / `from_backend`, or
-//!   `cwelmax-store`'s `from_journaled_store` extension), set cache
-//!   capacities, pre-warm SP views, `build()`;
+//!   source (`from_index` / `from_backend`, or `cwelmax-store`'s
+//!   `from_journaled_store` extension), set cache capacities, `build()`;
 //! * [`backend`] — the [`IndexBackend`] trait the engine serves through:
 //!   a monolithic [`RrIndex`] or `cwelmax-store`'s lazily loaded,
 //!   journaled store plug in interchangeably, and [`StorageStats`] makes
@@ -44,7 +44,7 @@
 //! use cwelmax_utility::configs::{self, TwoItemConfig};
 //! use std::sync::Arc;
 //!
-//! // Expensive, once: build (or `snapshot::load`) the index.
+//! // Expensive, once: build (or open a store of) the index.
 //! let graph = Arc::new(generators::erdos_renyi(
 //!     200, 1000, 7, ProbabilityModel::WeightedCascade));
 //! let params = ImmParams { threads: 2, max_rr_sets: 200_000, ..Default::default() };
@@ -72,7 +72,6 @@ pub mod error;
 pub mod index;
 pub mod lru;
 pub mod query;
-pub mod snapshot;
 pub mod wire;
 
 pub use backend::{IndexBackend, StorageStats};

@@ -120,41 +120,6 @@ fn maxgrd_warm_matches_cold() {
     assert!(rel < 0.10, "warm {} vs cold {cold_welfare}", warm.welfare);
 }
 
-/// The engine survives a snapshot round trip mid-pipeline: build → save →
-/// load in a "new process" → same answers.
-#[test]
-fn snapshot_reload_gives_identical_answers() {
-    let graph = shared_graph();
-    let index = Arc::new(RrIndex::build(&graph, 8, &imm()));
-
-    let dir = std::env::temp_dir().join("cwelmax-engine-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("reload.cwrx");
-    cwelmax_engine::snapshot::save(&index, &path).unwrap();
-
-    let q = CampaignQuery {
-        model: configs::two_item_config(TwoItemConfig::C3),
-        budgets: vec![4, 4],
-        algorithm: QueryAlgorithm::SeqGrdNm,
-        sp: Allocation::new(),
-        sim: sim(),
-    };
-
-    let live = EngineBuilder::from_index(index)
-        .graph(graph.clone())
-        .build()
-        .unwrap();
-    let reloaded = EngineBuilder::from_snapshot(&path)
-        .graph(graph)
-        .build()
-        .unwrap();
-    let a = live.query(&q).unwrap();
-    let b = reloaded.query(&q).unwrap();
-    assert_eq!(a.allocation, b.allocation);
-    assert_eq!(a.welfare, b.welfare);
-    std::fs::remove_file(&path).ok();
-}
-
 /// Build an index from an explicit StandardRr world `(seed, count)`, so a
 /// cold marginal collection over the **same world** can be reproduced.
 fn explicit_world_index(
@@ -285,65 +250,16 @@ fn conditioned_maxgrd_matches_cold_pool_path() {
     assert_eq!(warm.welfare, problem.evaluate(&cold.allocation));
 }
 
-/// An engine restored from a snapshot with persisted views starts with
-/// those views derived (warm first follow-up), and answers identically to
-/// the engine that built them.
-#[test]
-fn snapshot_persisted_views_prewarm_the_conditioned_cache() {
-    let graph = shared_graph();
-    let (_, index) = explicit_world_index(&graph, 10_000, 0xCAFE, 6);
-    let sp_nodes = vec![5u32, 33];
-
-    let dir = std::env::temp_dir().join("cwelmax-engine-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("prewarm.cwrx");
-    cwelmax_engine::snapshot::save_with_views(&index, std::slice::from_ref(&sp_nodes), &path)
-        .unwrap();
-
-    let live = EngineBuilder::from_index(index)
-        .graph(graph.clone())
-        .build()
-        .unwrap();
-    let reloaded = EngineBuilder::from_snapshot(&path)
-        .graph(graph)
-        .build()
-        .unwrap();
-    assert_eq!(
-        reloaded.stats().conditioned_views,
-        1,
-        "persisted view derived at load time"
-    );
-
-    let q = CampaignQuery {
-        model: configs::two_item_config(TwoItemConfig::C1),
-        budgets: vec![2, 2],
-        algorithm: QueryAlgorithm::SeqGrdNm,
-        sp: Allocation::from_pairs([(5u32, 1usize), (33, 1)]),
-        sim: sim(),
-    };
-    let a = live.query(&q).unwrap();
-    let b = reloaded.query(&q).unwrap();
-    assert_eq!(a.allocation, b.allocation);
-    assert_eq!(a.welfare, b.welfare);
-    assert_eq!(
-        reloaded.stats().conditioned_hits,
-        1,
-        "the first follow-up against the persisted SP is already warm"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
 /// An all-follow-up batch never pays for (or pins) the fresh pool, and
-/// more persisted views than the default cache capacity all survive
-/// pre-warming.
+/// its warm repeat is answered from cached views on the calling thread.
 #[test]
 fn followup_batches_and_bulk_prewarm_avoid_fresh_pool_and_eviction() {
     let graph = shared_graph();
     let (_, index) = explicit_world_index(&graph, 5_000, 0xBA7C, 4);
 
     // batch of two follow-ups only: zero fresh-pool selections
-    let engine = EngineBuilder::from_index(index.clone())
-        .graph(graph.clone())
+    let engine = EngineBuilder::from_index(index)
+        .graph(graph)
         .build()
         .unwrap();
     let mk = |sp: Allocation| CampaignQuery {
@@ -384,27 +300,4 @@ fn followup_batches_and_bulk_prewarm_avoid_fresh_pool_and_eviction() {
     assert_eq!(stats.queries, 4);
     assert_eq!((stats.conditioned_views, stats.conditioned_hits), (2, 2));
     assert_eq!((stats.welfare_evals, stats.welfare_cache_hits), (4, 2));
-
-    // 40 persisted views (> default cap 32) all pre-warm without eviction
-    let views: Vec<Vec<u32>> = (0..40u32).map(|k| vec![k, k + 100]).collect();
-    let dir = std::env::temp_dir().join("cwelmax-engine-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bulk_prewarm.cwrx");
-    cwelmax_engine::snapshot::save_with_views(&index, &views, &path).unwrap();
-    let reloaded = EngineBuilder::from_snapshot(&path)
-        .graph(graph)
-        .build()
-        .unwrap();
-    assert_eq!(reloaded.stats().conditioned_views, 40);
-    for k in 0..40u32 {
-        let q = mk(Allocation::from_pairs([(k, 1usize), (k + 100, 1)]));
-        reloaded.query(&q).unwrap();
-    }
-    assert_eq!(
-        reloaded.stats().conditioned_views,
-        40,
-        "every persisted view must still be resident — no re-derivations"
-    );
-    assert_eq!(reloaded.stats().conditioned_hits, 40);
-    std::fs::remove_file(&path).ok();
 }

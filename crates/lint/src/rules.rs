@@ -91,7 +91,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         NO_WALLCLOCK_IN_DETERMINISTIC,
-        "no `SystemTime::now`/`Instant::now` in `rrset`, `engine::codec`, `engine::snapshot` (determinism)",
+        "no `SystemTime::now`/`Instant::now` in `rrset`, `engine::codec`, `store::format`, `store::journal` (determinism)",
     ),
     (
         WIRE_V1_PIN,
@@ -128,7 +128,8 @@ pub const SERVING_CRATES: &[&str] = &["engine", "server", "store", "client"];
 const DETERMINISTIC_PATHS: &[&str] = &[
     "crates/rrset/src/",
     "crates/engine/src/codec.rs",
-    "crates/engine/src/snapshot.rs",
+    "crates/store/src/format.rs",
+    "crates/store/src/journal.rs",
 ];
 
 /// One classified, lexed workspace source file.
@@ -405,7 +406,7 @@ fn no_wallclock_in_deterministic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 t,
                 NO_WALLCLOCK_IN_DETERMINISTIC,
                 format!(
-                    "`{}::now()` in a deterministic path; snapshots and codecs must be byte-reproducible",
+                    "`{}::now()` in a deterministic path; store files and codecs must be byte-reproducible",
                     toks[i - 3].text
                 ),
             ));

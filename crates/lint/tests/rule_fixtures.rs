@@ -242,12 +242,19 @@ fn wallclock_trips_only_in_deterministic_paths() {
         [NO_WALLCLOCK_IN_DETERMINISTIC]
     );
     assert_eq!(
-        tripped("crates/engine/src/snapshot.rs", instant),
+        tripped("crates/store/src/format.rs", instant),
+        [NO_WALLCLOCK_IN_DETERMINISTIC]
+    );
+    assert_eq!(
+        tripped("crates/store/src/journal.rs", systime),
         [NO_WALLCLOCK_IN_DETERMINISTIC]
     );
     // latency timing in the engine/server proper is fine
     assert_clean("crates/engine/src/engine.rs", instant);
     assert_clean("crates/server/src/lib.rs", instant);
+    // the store's serving and top-up paths time their spans
+    assert_clean("crates/store/src/sharded.rs", instant);
+    assert_clean("crates/store/src/topup.rs", instant);
     // tests of deterministic code may time things
     assert_clean("crates/rrset/tests/properties.rs", instant);
     // an unrelated `now()` call is not a wall-clock read

@@ -1,10 +1,10 @@
 //! The store's on-disk format: one `manifest.bin` plus N shard files.
 //!
-//! Both file kinds reuse the engine codec's framing (`magic ‖ version ‖
-//! length ‖ payload ‖ crc32(payload)`) under store-specific magics, so a
-//! snapshot, a manifest, and a shard can never be parsed as one another,
-//! and every file gets the same truncation/bit-flip detection the
-//! snapshot format is proptested for.
+//! Both file kinds, like the journal's records, use the engine codec's
+//! frame (`magic ‖ version ‖ length ‖ payload ‖ crc32(payload)`) under
+//! one magic per kind, so a manifest, a shard and a journal record can
+//! never be parsed as one another, and every file gets the frame's
+//! truncation and bit-flip detection.
 //!
 //! ## Manifest (`manifest.bin`, magic `CWSM`)
 //!
@@ -36,10 +36,10 @@
 //! `[set_start, set_start + set_count)` with offsets rebased to 0 —
 //! exactly the canonical parts of an [`cwelmax_engine::RrIndex`] over the
 //! full node universe, so a loaded shard freezes into a per-shard index
-//! (with its own postings) through the same validating constructor the
-//! snapshot loader uses. Everything is little-endian and a pure function
-//! of the index contents: writing the same index at the same shard count
-//! twice produces byte-identical files.
+//! (with its own postings) through the validating
+//! `RrIndex::from_canonical`. Everything is little-endian and a pure
+//! function of the index contents: writing the same index at the same
+//! shard count twice produces byte-identical files.
 
 use cwelmax_engine::codec::{frame_tagged, unframe_tagged, SectionReader, SectionWriter};
 use cwelmax_engine::{EngineError, IndexMeta};
@@ -82,7 +82,7 @@ pub struct ShardInfo {
 /// single shard file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// Build metadata, identical in meaning to a snapshot's.
+    /// Build metadata, as the index was built with it.
     pub meta: IndexMeta,
     /// Node-universe size.
     pub num_nodes: usize,

@@ -16,9 +16,9 @@
 //! ```
 //!
 //! Each record reuses the engine codec's `frame_tagged` framing — the
-//! same 20-byte header/CRC envelope every other artifact in the family
-//! carries — so a journal record can never be parsed as a snapshot,
-//! manifest, or shard, and gets the same per-record bit-flip detection.
+//! same 20-byte header/CRC envelope the manifest and shards carry — so a
+//! journal record can never be parsed as a manifest or a shard, and gets
+//! the same per-record bit-flip detection.
 //!
 //! ## Commit and recovery discipline
 //!

@@ -1,12 +1,9 @@
 //! # cwelmax-store
 //!
-//! A **sharded on-disk index store**: the scaling successor to the
-//! monolithic snapshot.
-//!
-//! A snapshot is loaded whole — a million-node graph's RR index must fit
-//! and fully deserialize in memory before the first query, so server
-//! cold-start is `O(index)` and graph size is capped by startup RAM.
-//! This crate replaces the single file with a directory:
+//! The **sharded on-disk index store** — the one persisted form of an
+//! RR-set index. A store is a directory, opened without loading the
+//! index whole, so server cold-start is `O(manifest)`, not `O(index)`,
+//! and graph size is not capped by startup RAM:
 //!
 //! ```text
 //! store/
@@ -15,6 +12,7 @@
 //!   shard-0000.cwsx   contiguous RR-set range 0     (loaded lazily)
 //!   shard-0001.cwsx   contiguous RR-set range 1     (loaded lazily)
 //!   …
+//!   journal.bin       θ top-ups since the last compaction (optional)
 //! ```
 //!
 //! * [`write_store`] partitions a frozen [`cwelmax_engine::RrIndex`]
@@ -22,8 +20,7 @@
 //!   CRC-checked with the engine codec under store-specific magics) and
 //!   persists the ordered greedy pool at the budget cap in the manifest;
 //! * [`ShardedIndex::open`] reads **only** the manifest — cold-open is
-//!   `O(manifest)`, 10×+ faster than a full snapshot load even on bench
-//!   graphs, and independent of index size;
+//!   `O(manifest)`, independent of index size;
 //! * shards fault in lazily on first touch (per-shard `OnceLock` slots)
 //!   and in parallel for whole-index operations; a corrupt shard fails
 //!   its own loads with a precise [`cwelmax_engine::EngineError`] while

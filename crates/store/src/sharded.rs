@@ -60,8 +60,7 @@ pub struct StoreSummary {
 ///
 /// Output bytes are a pure function of `(index, shards)`: no timestamps,
 /// no iteration-order dependence — writing twice is byte-identical,
-/// which makes stores diffable and content-addressable exactly like
-/// snapshots.
+/// which makes stores diffable and content-addressable.
 pub fn write_store(
     index: &RrIndex,
     dir: impl AsRef<Path>,
@@ -313,7 +312,7 @@ impl ShardedIndex {
         self.shard_fault_errors.get()
     }
 
-    /// Build metadata (identical in meaning to a snapshot's).
+    /// Build metadata, as the index was built with it.
     pub fn meta(&self) -> &IndexMeta {
         &self.manifest.meta
     }

@@ -53,7 +53,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// with the trait in scope, `EngineBuilder::from_journaled_store(dir)`
 /// builds an engine over a [`JournaledStore`] opened at `build()` time —
 /// the manifest is read and the journal (if any) replayed then, so open
-/// errors surface uniformly with the snapshot source — and the engine
+/// errors surface from `build()` — and the engine
 /// can grow the store live through `ensure_theta` (the wire `topup`
 /// request).
 ///

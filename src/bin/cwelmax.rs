@@ -20,31 +20,18 @@
 //! ## Build a persistent RR-set index (expensive, once per graph)
 //!
 //! ```text
-//! cwelmax index build --graph edges.txt --out index.cwrx \
-//!         [--budget-cap 20] [--eps 0.5] [--ell 1.0] [--seed S] [--threads T] \
-//!         [--condition 1,5,9]... [--sharded --shards N]
-//! ```
-//!
-//! Each `--condition` (repeatable) persists an SP node set in the
-//! snapshot's conditioned-views section (format v2): loading engines
-//! derive those SP-conditioned views eagerly, so the first follow-up
-//! query against a persisted prior allocation is already warm.
-//!
-//! ## Build a sharded store instead (lazy loading, O(manifest) open)
-//!
-//! ```text
-//! cwelmax index shard --graph edges.txt --out index.store --shards 8 \
+//! cwelmax index build --graph edges.txt --out index.store [--shards 8] \
 //!         [--budget-cap 20] [--eps 0.5] [--ell 1.0] [--seed S] [--threads T]
 //! ```
 //!
-//! `index shard` (equivalently `index build --sharded`; passing
-//! `--shards` alone also implies it) writes `--out` as
-//! a **directory**: a `manifest.bin` carrying the build metadata, the
-//! precomputed budget-cap greedy pool, and per-shard integrity records,
-//! plus `--shards` shard files each holding a contiguous CRC-checked
-//! range of RR sets (written in parallel). Servers open the manifest
-//! eagerly and fault shards in lazily — fresh campaigns are answered
-//! from the persisted pool without reading a single shard.
+//! `index build` writes `--out` as a store **directory**: a
+//! `manifest.bin` carrying the build metadata, the precomputed
+//! budget-cap greedy pool, and per-shard integrity records, plus
+//! `--shards` shard files each holding a contiguous CRC-checked range of
+//! RR sets (written in parallel). Servers open the manifest eagerly and
+//! fault shards in lazily — fresh campaigns are answered from the
+//! persisted pool without reading a single shard. The same flags and
+//! seed always write byte-identical files.
 //!
 //! ## Grow a store in place (θ top-up) and fold the journal
 //!
@@ -64,12 +51,9 @@
 //! ## Answer a batch of campaigns from the index (warm, no resampling)
 //!
 //! ```text
-//! cwelmax query-batch --graph edges.txt --index index.cwrx \
+//! cwelmax query-batch --graph edges.txt --store index.store \
 //!         --queries queries.json [--threads N] [--json]
 //! ```
-//!
-//! (`--store index.store` serves the batch from a sharded store instead
-//! of a monolithic snapshot.)
 //!
 //! `queries.json` is an array of campaign objects:
 //!
@@ -89,15 +73,14 @@
 //! ## Serve campaigns over TCP (long-lived, index loaded once)
 //!
 //! ```text
-//! cwelmax serve --graph edges.txt --index index.cwrx \
+//! cwelmax serve --graph edges.txt --store index.store \
 //!         [--addr 127.0.0.1:7878] [--cache-cap N] [--max-conns N] \
 //!         [--log-level error|warn|info|debug|trace] [--slow-query-ms N] \
 //!         [--metrics-dump SECS] [--metrics-file PATH] \
 //!         [--trace-sample RATE] [--trace-buffer N]
-//! cwelmax serve --graph edges.txt --store index.store [...]
 //! ```
 //!
-//! With `--store`, startup reads only the store's manifest (cold-open is
+//! Startup reads only the store's manifest and journal (cold-open is
 //! `O(manifest)`, not `O(index)`) and shard files are loaded lazily as
 //! queries touch them — `{"type": "stats"}` reports `shards_total` /
 //! `shards_loaded` / `store_bytes_on_disk` so the lazy path is
@@ -132,7 +115,7 @@ use cwelmax::core::baselines::{RoundRobin, Snake, Tcim};
 use cwelmax::core::{best_of, MaxGrd, SupGrd};
 use cwelmax::diffusion::SimulationConfig;
 use cwelmax::engine::wire::Protocol;
-use cwelmax::engine::{self, wire, CampaignEngine, CampaignQuery, RrIndex};
+use cwelmax::engine::{wire, CampaignEngine, CampaignQuery, RrIndex};
 use cwelmax::graph::{io as graph_io, ProbabilityModel};
 use cwelmax::obs;
 use cwelmax::prelude::*;
@@ -264,16 +247,13 @@ fn load_graph(path: &str) -> cwelmax::graph::Graph {
         .unwrap_or_else(|e| die(&format!("cannot read graph: {e}")))
 }
 
-/// `cwelmax index build …` / `cwelmax index shard …` — sample an RR-set
-/// index and persist it as a monolithic snapshot or a sharded store.
-/// `index shard` is sharded by default; `index build --sharded` is the
-/// equivalent spelling.
-fn cmd_index_build(argv: Vec<String>, mut sharded: bool) {
+/// `cwelmax index build …` — sample an RR-set index and persist it as a
+/// sharded store directory.
+fn cmd_index_build(argv: Vec<String>) {
     let mut graph_path = None;
     let mut out = None;
     let mut budget_cap: u32 = 20;
     let mut shards: usize = 8;
-    let mut conditions: Vec<Vec<u32>> = Vec::new();
     let mut params = ImmParams {
         threads: 0,
         max_rr_sets: 50_000_000,
@@ -290,24 +270,7 @@ fn cmd_index_build(argv: Vec<String>, mut sharded: bool) {
             "--seed" => params.seed = f.parsed("--seed"),
             "--threads" => params.threads = f.parsed("--threads"),
             "--max-rr-sets" => params.max_rr_sets = f.parsed("--max-rr-sets"),
-            "--sharded" => sharded = true,
-            // asking for a shard count is asking for a sharded store —
-            // silently ignoring --shards would write a monolithic
-            // snapshot after the user already paid for the build
-            "--shards" => {
-                shards = f.parsed("--shards");
-                sharded = true;
-            }
-            "--condition" => conditions.push(
-                f.value("--condition")
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| die("bad --condition node id"))
-                    })
-                    .collect(),
-            ),
+            "--shards" => shards = f.parsed("--shards"),
             other => die(&format!("unknown `index build` argument `{other}`")),
         }
     }
@@ -316,21 +279,17 @@ fn cmd_index_build(argv: Vec<String>, mut sharded: bool) {
     if budget_cap == 0 {
         die("--budget-cap must be positive");
     }
-    if sharded && shards == 0 {
+    if shards == 0 {
         die("--shards must be positive");
     }
-    if sharded && !conditions.is_empty() {
-        die("--condition persists views in snapshot format v2; sharded stores do not carry them yet");
+    // a store is a directory: refuse an existing file before paying for
+    // the build, not after
+    if std::fs::metadata(&out).is_ok_and(|m| !m.is_dir()) {
+        die(&format!(
+            "cannot write store: --out {out} is an existing file, not a directory"
+        ));
     }
     let graph = load_graph(&graph_path);
-    for sp in &conditions {
-        if let Some(&v) = sp.iter().find(|&&v| v as usize >= graph.num_nodes()) {
-            die(&format!(
-                "--condition node {v} out of range for a {}-node graph",
-                graph.num_nodes()
-            ));
-        }
-    }
     eprintln!(
         "building index: {} nodes, {} edges, budget cap {budget_cap}, eps {}",
         graph.num_nodes(),
@@ -340,30 +299,16 @@ fn cmd_index_build(argv: Vec<String>, mut sharded: bool) {
     let start = std::time::Instant::now();
     let index = RrIndex::build(&graph, budget_cap, &params);
     let build_time = start.elapsed();
-    if sharded {
-        let summary = write_store(&index, &out, shards)
-            .unwrap_or_else(|e| die(&format!("cannot write store: {e}")));
-        println!(
-            "store built in {build_time:?}: θ = {} sampled, {} retained sets \
-             across {} shard(s), {} bytes -> {out}/",
-            index.num_sampled(),
-            summary.total_sets,
-            summary.shards,
-            summary.bytes_on_disk
-        );
-    } else {
-        engine::snapshot::save_with_views(&index, &conditions, &out)
-            .unwrap_or_else(|e| die(&format!("cannot save index: {e}")));
-        let size = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "index built in {build_time:?}: θ = {} sampled, {} retained sets, \
-             {} persisted view(s), {} bytes -> {out}",
-            index.num_sampled(),
-            index.num_sets(),
-            conditions.len(),
-            size
-        );
-    }
+    let summary = write_store(&index, &out, shards)
+        .unwrap_or_else(|e| die(&format!("cannot write store: {e}")));
+    println!(
+        "store built in {build_time:?}: θ = {} sampled, {} retained sets \
+         across {} shard(s), {} bytes -> {out}/",
+        index.num_sampled(),
+        summary.total_sets,
+        summary.shards,
+        summary.bytes_on_disk
+    );
 }
 
 /// `cwelmax index topup …` — grow a journaled store's sampled population
@@ -439,23 +384,14 @@ fn cmd_index_compact(argv: Vec<String>) {
     );
 }
 
-/// Resolve `--index`/`--store` into the shared [`EngineSource`] (one
-/// code path for every serving subcommand) or die with its message.
-fn resolve_source(index: Option<String>, store: Option<String>) -> EngineSource {
-    EngineSource::resolve(index, store).unwrap_or_else(|msg| die(msg))
-}
-
-/// Load graph + index into an engine (shared by `query-batch` and
-/// `serve`): one `EngineBuilder` pipeline regardless of source, with the
-/// subcommand's cache capacities applied at construction.
-fn load_engine(
-    graph_path: &str,
-    source: &EngineSource,
-    cache_cap: Option<usize>,
-) -> CampaignEngine {
+/// Load the graph and open the store at `store` into an engine (shared
+/// by `query-batch` and `serve`). The store is opened **journaled** —
+/// manifest and journal now, shards lazily as queries touch them — so a
+/// server can grow θ live (`{"v": 2, "type": "topup"}`).
+fn load_engine(graph_path: &str, store: &str, cache_cap: Option<usize>) -> CampaignEngine {
     let graph = Arc::new(load_graph(graph_path));
-    eprintln!("loading engine from {}", source.describe());
-    let mut builder = source.builder().graph(graph);
+    eprintln!("loading engine from store {store} (lazy shards, journaled)");
+    let mut builder = EngineBuilder::from_journaled_store(store).graph(graph);
     if let Some(cap) = cache_cap {
         builder = builder.cache_capacity(cap);
     }
@@ -469,7 +405,6 @@ fn load_engine(
 /// rest of the batch still runs.
 fn cmd_query_batch(argv: Vec<String>) {
     let mut graph_path = None;
-    let mut index_path = None;
     let mut store_path = None;
     let mut queries_path = None;
     let mut threads = 0usize;
@@ -478,7 +413,6 @@ fn cmd_query_batch(argv: Vec<String>) {
     while let Some(flag) = f.next_flag() {
         match flag.as_str() {
             "--graph" => graph_path = Some(f.value("--graph")),
-            "--index" => index_path = Some(f.value("--index")),
             "--store" => store_path = Some(f.value("--store")),
             "--queries" => queries_path = Some(f.value("--queries")),
             "--threads" => threads = f.parsed("--threads"),
@@ -487,10 +421,10 @@ fn cmd_query_batch(argv: Vec<String>) {
         }
     }
     let graph_path = graph_path.unwrap_or_else(|| die("--graph is required"));
-    let source = resolve_source(index_path, store_path);
+    let store_path = store_path.unwrap_or_else(|| die("--store is required"));
     let queries_path = queries_path.unwrap_or_else(|| die("--queries is required"));
 
-    let engine = load_engine(&graph_path, &source, None);
+    let engine = load_engine(&graph_path, &store_path, None);
     let text = std::fs::read_to_string(&queries_path)
         .unwrap_or_else(|e| die(&format!("cannot read queries: {e}")));
     let root: serde_json::Value =
@@ -569,7 +503,6 @@ fn cmd_query_batch(argv: Vec<String>) {
 /// `{"type": "shutdown"}` request.
 fn cmd_serve(argv: Vec<String>) {
     let mut graph_path = None;
-    let mut index_path = None;
     let mut store_path = None;
     let mut addr = "127.0.0.1:7878".to_string();
     let mut cache_cap: Option<usize> = None;
@@ -584,7 +517,6 @@ fn cmd_serve(argv: Vec<String>) {
     while let Some(flag) = f.next_flag() {
         match flag.as_str() {
             "--graph" => graph_path = Some(f.value("--graph")),
-            "--index" => index_path = Some(f.value("--index")),
             "--store" => store_path = Some(f.value("--store")),
             "--addr" => addr = f.value("--addr"),
             "--cache-cap" => cache_cap = Some(f.parsed("--cache-cap")),
@@ -604,7 +536,7 @@ fn cmd_serve(argv: Vec<String>) {
         }
     }
     let graph_path = graph_path.unwrap_or_else(|| die("--graph is required"));
-    let source = resolve_source(index_path, store_path);
+    let store_path = store_path.unwrap_or_else(|| die("--store is required"));
     let level: obs::Level = log_level
         .parse()
         .unwrap_or_else(|e: String| die(&format!("bad --log-level: {e}")));
@@ -613,7 +545,7 @@ fn cmd_serve(argv: Vec<String>) {
         logger.set_slow_query_ns(ms.saturating_mul(1_000_000));
     }
 
-    let engine = load_engine(&graph_path, &source, cache_cap);
+    let engine = load_engine(&graph_path, &store_path, cache_cap);
     let mut server = CampaignServer::bind(Arc::new(engine), addr.as_str())
         .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")))
         .with_logger(Arc::clone(&logger));
@@ -702,13 +634,11 @@ fn main() {
         Some("index") => {
             let rest = argv.get(2..).unwrap_or(&[]).to_vec();
             return match argv.get(1).map(String::as_str) {
-                Some("build") => cmd_index_build(rest, false),
-                Some("shard") => cmd_index_build(rest, true),
+                Some("build") => cmd_index_build(rest),
                 Some("topup") => cmd_index_topup(rest),
                 Some("compact") => cmd_index_compact(rest),
                 _ => die(
-                    "usage: cwelmax index build --graph EDGES --out INDEX.cwrx [--sharded] [...] \
-                     | cwelmax index shard --graph EDGES --out STORE_DIR --shards N [...] \
+                    "usage: cwelmax index build --graph EDGES --out STORE_DIR [--shards N] [...] \
                      | cwelmax index topup --store STORE_DIR --graph EDGES --theta N \
                      | cwelmax index compact --store STORE_DIR [--shards N]",
                 ),

@@ -17,20 +17,19 @@
 //! * [`obs`] — std-only observability kit: metrics registry, lock-free
 //!   log2-bucket latency histograms, and a structured NDJSON logger,
 //!   shared by engine, store, and server;
-//! * [`engine`] — persistent RR-set index (versioned, checksummed
-//!   snapshots) and the multi-campaign query engine that answers many
-//!   allocation queries over one prebuilt index without resampling;
-//! * [`store`] — sharded, journaled on-disk index store (`cwelmax index
-//!   shard` / `topup` / `compact`): a manifest opened eagerly plus lazily
-//!   loaded shard files, so server cold-start is `O(manifest)` instead of
-//!   `O(index)`; served through one backend, `JournaledStore`;
+//! * [`engine`] — the frozen RR-set index, the checksummed frame its
+//!   store files share, and the multi-campaign query engine that answers
+//!   many allocation queries over one prebuilt index without resampling;
+//! * [`store`] — the sharded, journaled on-disk index store, the one
+//!   persisted form of an index (`cwelmax index build` / `topup` /
+//!   `compact`): a manifest opened eagerly plus lazily loaded shard
+//!   files, so server cold-start is `O(manifest)` instead of `O(index)`;
+//!   served through one backend, `JournaledStore`;
 //! * [`server`] — long-lived TCP front-end over one `CampaignEngine`
 //!   (newline-delimited JSON, versioned wire protocol; `cwelmax serve`);
 //! * [`client`] — typed client for that server (`hello` negotiation of
 //!   protocol v2 with automatic v1 fallback, structured errors,
-//!   reconnect-once-on-broken-pipe);
-//! * [`source`] — the shared `--index`-vs-`--store` resolution every
-//!   serving subcommand goes through ([`EngineSource`]).
+//!   reconnect-once-on-broken-pipe).
 //!
 //! ```
 //! use cwelmax::prelude::*;
@@ -58,12 +57,8 @@ pub use cwelmax_server as server;
 pub use cwelmax_store as store;
 pub use cwelmax_utility as utility;
 
-pub mod source;
-pub use source::EngineSource;
-
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::source::EngineSource;
     pub use cwelmax_client::CwelmaxClient;
     pub use cwelmax_core::prelude::*;
     pub use cwelmax_diffusion::{Allocation, WelfareEstimator};
