@@ -41,7 +41,7 @@
 //! function of the index contents: writing the same index at the same
 //! shard count twice produces byte-identical files.
 
-use cwelmax_engine::codec::{frame_tagged, unframe_tagged, SectionReader, SectionWriter};
+use cwelmax_engine::codec::{unframe_tagged, SectionReader, SectionWriter};
 use cwelmax_engine::{EngineError, IndexMeta};
 use cwelmax_graph::NodeId;
 use std::path::{Path, PathBuf};
@@ -103,7 +103,9 @@ pub struct Manifest {
 impl Manifest {
     /// Serialize to framed manifest bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new();
+        // eight scalars, the pool, the shard count, four u64s per shard
+        let payload = 8 * 8 + (8 + 4 * self.pool.len()) + 8 + 32 * self.shards.len();
+        let mut w = SectionWriter::framed(MANIFEST_MAGIC, STORE_VERSION, payload);
         w.put_f64(self.meta.eps);
         w.put_f64(self.meta.ell);
         w.put_u64(self.meta.seed);
@@ -120,7 +122,7 @@ impl Manifest {
             w.put_u64(s.file_bytes);
             w.put_u64(s.file_crc as u64);
         }
-        frame_tagged(MANIFEST_MAGIC, STORE_VERSION, &w.finish())
+        w.finish()
     }
 
     /// Parse and validate framed manifest bytes. Corruption that survives
@@ -239,14 +241,19 @@ pub struct ShardParts<'a> {
 
 /// Serialize one shard to framed file bytes.
 pub fn shard_to_bytes(parts: &ShardParts<'_>) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+    // three scalars, then three counted vectors
+    let payload = 3 * 8
+        + (8 + 8 * parts.set_offsets.len())
+        + (8 + 4 * parts.members.len())
+        + (8 + 8 * parts.weights.len());
+    let mut w = SectionWriter::framed(SHARD_MAGIC, STORE_VERSION, payload);
     w.put_u64(parts.shard_id as u64);
     w.put_u64(parts.graph_fingerprint);
     w.put_u64(parts.set_start as u64);
     w.put_u64_slice(&parts.set_offsets);
     w.put_u32_slice(parts.members);
     w.put_f64_slice(parts.weights);
-    frame_tagged(SHARD_MAGIC, STORE_VERSION, &w.finish())
+    w.finish()
 }
 
 /// Parsed (but not yet index-validated) shard file contents.

@@ -15,10 +15,11 @@
 //!             weights     (u64 count, then count × f64)
 //! ```
 //!
-//! Each record reuses the engine codec's `frame_tagged` framing — the
-//! same 20-byte header/CRC envelope the manifest and shards carry — so a
-//! journal record can never be parsed as a manifest or a shard, and gets
-//! the same per-record bit-flip detection.
+//! Each record is one engine-codec frame, written in one pass by a
+//! framed `SectionWriter` — the same 20-byte header/CRC envelope the
+//! manifest and shards carry — so a journal record can never be parsed
+//! as a manifest or a shard, and gets the same per-record bit-flip
+//! detection.
 //!
 //! ## Commit and recovery discipline
 //!
@@ -45,7 +46,7 @@
 //! over what the records attach to.
 
 use bytes::Buf;
-use cwelmax_engine::codec::{frame_tagged, unframe_tagged, SectionReader, SectionWriter};
+use cwelmax_engine::codec::{unframe_tagged, SectionReader, SectionWriter};
 use cwelmax_engine::EngineError;
 use cwelmax_graph::NodeId;
 use std::io::Write;
@@ -93,16 +94,20 @@ impl JournalRecord {
 
     /// Serialize to one framed journal record.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new();
+        // four scalars, then three counted vectors
+        let payload = 4 * 8
+            + (8 + 8 * self.set_offsets.len())
+            + (8 + 4 * self.members.len())
+            + (8 + 8 * self.weights.len());
+        let mut w = SectionWriter::framed(JOURNAL_MAGIC, JOURNAL_VERSION, payload);
         w.put_u64(self.graph_fingerprint);
         w.put_u64(self.seed);
         w.put_u64(self.theta_before as u64);
         w.put_u64(self.theta_after as u64);
-        let offsets: Vec<u64> = self.set_offsets.iter().map(|&x| x as u64).collect();
-        w.put_u64_slice(&offsets);
+        w.put_u64_iter(self.set_offsets.iter().map(|&x| x as u64));
         w.put_u32_slice(&self.members);
         w.put_f64_slice(&self.weights);
-        frame_tagged(JOURNAL_MAGIC, JOURNAL_VERSION, &w.finish())
+        w.finish()
     }
 
     /// Decode one record payload (the bytes inside a verified frame) and
@@ -295,8 +300,11 @@ pub fn truncate_to(dir: &Path, committed_bytes: u64) -> Result<(), EngineError> 
     }
 }
 
-/// Remove the journal entirely (after compaction has folded its records
-/// into a durable manifest). A missing file is fine.
+/// Remove the journal entirely: after compaction has renamed in a
+/// manifest that folds its records in, or on open when every record is
+/// already folded in. A missing file is fine. Neither that manifest nor
+/// this removal is fsynced, so a power loss right after compaction can
+/// lose the folded sets; a killed process cannot.
 pub fn remove(dir: &Path) -> Result<(), EngineError> {
     match std::fs::remove_file(dir.join(JOURNAL_FILE)) {
         Ok(()) => Ok(()),

@@ -44,19 +44,21 @@ pub struct StoreSummary {
 
 /// Partition a frozen index into a store directory: N shard files
 /// holding contiguous set ranges (written in parallel across a bounded
-/// worker pool), then the manifest — last, and atomically. The
+/// worker pool), then the manifest — last, and by rename. The
 /// budget-cap greedy pool is computed once here and persisted in the
 /// manifest; serving never recomputes it.
 ///
-/// Overwriting an existing store is safe against crashes: all new files
-/// are staged as `.tmp` first, then the **old manifest is deleted**
-/// before any shard is swapped in, so at every instant the directory
-/// either parses as the complete old store, fails to open with a clean
-/// "no manifest" error (mid-swap crash — never a store whose manifest
-/// and shards disagree), or parses as the complete new store. Any
-/// leftover shard files the new manifest does not name — a previous
-/// larger shard count, a crashed half-written store, stranded `.tmp`
-/// stages — are swept away ([`StoreSummary::stale_files_pruned`]).
+/// Overwriting an existing store never leaves a manifest that disagrees
+/// with its shards: all new files are staged as `.tmp` first, then the
+/// **old manifest is deleted** before any shard is swapped in, so a
+/// process killed at any instant leaves a directory that either parses
+/// as the complete old store, fails to open with a "no manifest" error
+/// (killed mid-swap — the store must be rebuilt or re-compacted), or
+/// parses as the complete new store. Nothing here is fsynced, so this
+/// holds against a killed process, not against power loss. Any leftover
+/// shard files the new manifest does not name — a previous larger shard
+/// count, a crashed half-written store, stranded `.tmp` stages — are
+/// swept away ([`StoreSummary::stale_files_pruned`]).
 ///
 /// Output bytes are a pure function of `(index, shards)`: no timestamps,
 /// no iteration-order dependence — writing twice is byte-identical,
@@ -66,58 +68,106 @@ pub fn write_store(
     dir: impl AsRef<Path>,
     shards: usize,
 ) -> Result<StoreSummary, EngineError> {
+    let (set_offsets, members, weights) = index.canonical_parts();
+    let contents = StoreContents {
+        set_offsets,
+        members,
+        weights,
+        num_nodes: index.num_nodes(),
+        num_sampled: index.num_sampled(),
+        meta: *index.meta(),
+        pool: index.greedy_select(index.meta().budget_cap as usize).seeds,
+    };
+    write_contents(contents, dir.as_ref(), shards)
+}
+
+/// Everything a store directory holds: the retained sets as canonical
+/// slices in global order, and what the manifest declares beside them.
+/// `pool` must be the ordered greedy pool at `meta.budget_cap` over
+/// exactly these sets.
+pub(crate) struct StoreContents<'a> {
+    pub(crate) set_offsets: &'a [usize],
+    pub(crate) members: &'a [NodeId],
+    pub(crate) weights: &'a [f64],
+    pub(crate) num_nodes: usize,
+    pub(crate) num_sampled: usize,
+    pub(crate) meta: IndexMeta,
+    pub(crate) pool: Vec<NodeId>,
+}
+
+/// The one store writer behind [`write_store`] and compaction: stages
+/// every shard, swaps them in, then renames the manifest in (see
+/// [`write_store`] for the staging order and what a kill leaves).
+pub(crate) fn write_contents(
+    contents: StoreContents<'_>,
+    dir: &Path,
+    shards: usize,
+) -> Result<StoreSummary, EngineError> {
     if shards == 0 {
         return Err(EngineError::BadQuery("shard count must be positive".into()));
     }
-    let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
-    let (set_offsets, members, weights) = index.canonical_parts();
-    let total = index.num_sets();
+    let StoreContents {
+        set_offsets,
+        members,
+        weights,
+        num_nodes,
+        num_sampled,
+        meta,
+        pool,
+    } = contents;
+    let total = weights.len();
     let chunk = total.div_ceil(shards).max(1);
-    let fingerprint = index.meta().graph_fingerprint;
+    let fingerprint = meta.graph_fingerprint;
     // stage 1: serialize + write every shard as `.tmp`, in parallel over
     // a bounded pool (shard counts are user-controlled — don't spawn one
     // thread per shard). Each job is a pure function of its contiguous
     // set range; per-worker results are concatenated in shard order.
     let workers = worker_count(shards);
     let per_worker = shards.div_ceil(workers);
+    let write_range = |w: usize| -> Result<Vec<ShardInfo>, EngineError> {
+        let mut infos = Vec::new();
+        for k in (w * per_worker)..((w + 1) * per_worker).min(shards) {
+            let lo = (k * chunk).min(total);
+            let hi = ((k + 1) * chunk).min(total);
+            let base = set_offsets[lo];
+            let local_offsets: Vec<u64> = set_offsets[lo..=hi]
+                .iter()
+                .map(|&x| (x - base) as u64)
+                .collect();
+            let bytes = shard_to_bytes(&ShardParts {
+                shard_id: k,
+                graph_fingerprint: fingerprint,
+                set_start: lo,
+                set_offsets: local_offsets,
+                members: &members[base..set_offsets[hi]],
+                weights: &weights[lo..hi],
+            });
+            std::fs::write(shard_path(dir, k).with_extension("tmp"), &bytes)?;
+            infos.push(ShardInfo {
+                set_start: lo,
+                set_count: hi - lo,
+                file_bytes: bytes.len() as u64,
+                file_crc: crc32(&bytes),
+            });
+        }
+        Ok(infos)
+    };
+    // the caller writes the first range itself: `workers − 1` spawns,
+    // and a single-shard store spawns nothing
     let worker_results: Vec<Result<Vec<ShardInfo>, EngineError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut infos = Vec::new();
-                    for k in (w * per_worker)..((w + 1) * per_worker).min(shards) {
-                        let lo = (k * chunk).min(total);
-                        let hi = ((k + 1) * chunk).min(total);
-                        let base = set_offsets[lo];
-                        let local_offsets: Vec<u64> = set_offsets[lo..=hi]
-                            .iter()
-                            .map(|&x| (x - base) as u64)
-                            .collect();
-                        let bytes = shard_to_bytes(&ShardParts {
-                            shard_id: k,
-                            graph_fingerprint: fingerprint,
-                            set_start: lo,
-                            set_offsets: local_offsets,
-                            members: &members[base..set_offsets[hi]],
-                            weights: &weights[lo..hi],
-                        });
-                        std::fs::write(shard_path(dir, k).with_extension("tmp"), &bytes)?;
-                        infos.push(ShardInfo {
-                            set_start: lo,
-                            set_count: hi - lo,
-                            file_bytes: bytes.len() as u64,
-                            file_crc: crc32(&bytes),
-                        });
-                    }
-                    Ok(infos)
-                })
-            })
+        let write_range = &write_range;
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || write_range(w)))
             .collect();
-        handles
-            .into_iter()
-            // lint:allow(no-panic-in-serving) -- build-time path, not serving; a panicked writer thread means a torn store and must propagate
-            .map(|h| h.join().expect("shard writer panicked"))
+        let first = write_range(0);
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    // lint:allow(no-panic-in-serving) -- build-time path, not serving; a panicked writer thread means a torn store and must propagate
+                    .map(|h| h.join().expect("shard writer panicked")),
+            )
             .collect()
     });
     let mut infos = Vec::with_capacity(shards);
@@ -145,15 +195,15 @@ pub fn write_store(
         std::fs::rename(path.with_extension("tmp"), &path)?;
     }
     let stale_files_pruned = prune_stale_shards(dir, shards);
-    // stage 4: the new manifest, atomically — its appearance is what
+    // stage 4: the new manifest, by rename — its appearance is what
     // makes the directory a store again
     let shard_bytes: u64 = infos.iter().map(|s| s.file_bytes).sum();
     let manifest = Manifest {
-        meta: *index.meta(),
-        num_nodes: index.num_nodes(),
-        num_sampled: index.num_sampled(),
+        meta,
+        num_nodes,
+        num_sampled,
         total_sets: total,
-        pool: index.greedy_select(index.meta().budget_cap as usize).seeds,
+        pool,
         shards: infos,
     };
     let bytes = manifest.to_bytes();
@@ -214,11 +264,12 @@ fn prune_stale_shards(dir: &Path, shards: usize) -> usize {
 }
 
 /// Bounded parallelism for shard I/O (and top-up sampling): one worker
-/// per core, never more than there are jobs, at least one.
+/// per core, never more than there are jobs, at least one — and one
+/// when the core count is unknown, like every other pool.
 pub(crate) fn worker_count(jobs: usize) -> usize {
     std::thread::available_parallelism()
         .map(|t| t.get())
-        .unwrap_or(4)
+        .unwrap_or(1)
         .clamp(1, jobs.max(1))
 }
 
@@ -506,13 +557,20 @@ impl ShardedIndex {
             let workers = worker_count(missing.len());
             let chunk = missing.len().div_ceil(workers);
             std::thread::scope(|scope| {
-                for ids in missing.chunks(chunk) {
+                // the caller faults the first chunk itself: at most
+                // `workers − 1` spawns
+                let mut chunks = missing.chunks(chunk);
+                let first = chunks.next().unwrap_or_default();
+                for ids in chunks {
                     let fault = &fault;
                     scope.spawn(move || {
                         for &k in ids {
                             fault(k);
                         }
                     });
+                }
+                for &k in first {
+                    fault(k);
                 }
             });
         } else if let Some(&k) = missing.first() {

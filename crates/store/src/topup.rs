@@ -27,15 +27,28 @@
 //!
 //! `ensure_theta` samples the deficit, appends **one** journal record
 //! (fsync — see [`crate::journal`]), and only then splices the sets
-//! into the overlay: a record is serveable exactly when it is durable.
-//! `compact` folds base + overlay into a fresh store via [`write_store`]
-//! (write-then-rename) and deletes the journal only after the new
-//! manifest is on disk; a crash in between leaves a journal whose
-//! records are all ≤ the new manifest's θ, which the next open detects
-//! and discards (they are already folded in).
+//! into the overlay: a record is serveable exactly when it is durable,
+//! so an acknowledged top-up survives a killed process and a power loss.
+//!
+//! `compact` folds base + overlay into a fresh store with the store
+//! writer behind [`crate::write_store`] (stage every file as `.tmp`,
+//! delete the old manifest, swap the shards in, rename the new manifest
+//! in), then deletes the journal. It fsyncs nothing, so what it promises
+//! is less:
+//!
+//! * killed after the new manifest is renamed in but before the journal
+//!   is deleted, it leaves a journal whose records are all ≤ the new
+//!   manifest's θ, which the next open detects and discards (they are
+//!   already folded in);
+//! * killed between the writer deleting the old manifest and renaming
+//!   the new one in, it leaves a directory with **no manifest**: the
+//!   store does not open, though the journal survives beside it;
+//! * on a power loss the compacted shards and manifest may not be on
+//!   disk at all, and the journal that held the same sets is already
+//!   deleted — compacted files are not power-loss durable.
 
 use crate::journal::{self, JournalRecord};
-use crate::sharded::{worker_count, write_store, ShardedIndex, StoreSummary};
+use crate::sharded::{worker_count, write_contents, ShardedIndex, StoreContents, StoreSummary};
 use crate::walk::{self, Canonical};
 use cwelmax_engine::conditioned::validated_sp_nodes;
 use cwelmax_engine::{
@@ -341,15 +354,15 @@ impl JournaledStore {
                 self.meta.seed ^ REGEN_SEED_XOR,
                 worker_count(deficit),
             );
-            let (offsets, members, weights) = c.parts();
+            let (set_offsets, members, weights) = c.into_parts();
             let record = JournalRecord {
                 graph_fingerprint: self.meta.graph_fingerprint,
                 seed: self.meta.seed,
                 theta_before: have,
                 theta_after: target,
-                set_offsets: offsets.to_vec(),
-                members: members.to_vec(),
-                weights: weights.to_vec(),
+                set_offsets,
+                members,
+                weights,
             };
             let mut st = self.write();
             if st.num_sampled() != have {
@@ -368,7 +381,7 @@ impl JournaledStore {
             // lint:allow(no-blocking-under-lock) -- durability ordering: the fsync must complete before the sets become visible, and the append must serialize with the theta recheck so replay sees records in application order
             let appended = journal::append(&self.dir, &record)?;
             let mut grown = walk::concat(std::slice::from_ref(&st.overlay));
-            grown.push(offsets, members, weights);
+            grown.push(&record.set_offsets, &record.members, &record.weights);
             st.overlay = Arc::new(grown.freeze(self.num_nodes, target, self.meta)?);
             st.pool = None;
             self.journal_records.add(1);
@@ -395,50 +408,84 @@ impl JournaledStore {
         Ok(greedy_select_parts(&parts, self.num_nodes, b, &[]).0)
     }
 
-    /// Fold base + overlay into a fresh sharded store (write-then-rename
-    /// via [`write_store`]) and delete the journal — only after the new
-    /// manifest is durable, so a crash anywhere in between is recovered
-    /// by the next open (stale journal records are detected and
-    /// skipped). `shards` defaults to the base's current shard count.
-    /// The compacted store is byte-deterministic: identical to
-    /// `write_store` of a cold build at the composed `(seed, θ)`.
+    /// Fold base + overlay into a fresh sharded store and delete the
+    /// journal. `shards` defaults to the base's current shard count.
+    ///
+    /// The store is written from its parts: the composed walk's
+    /// concatenated sets, validated as a frozen index would be, and the
+    /// composed budget-cap pool ([`IndexBackend::pool_at_cap`]: the
+    /// cached one, else one selection over the parts) — no monolithic
+    /// index and no postings are built. The compacted store is
+    /// byte-deterministic: identical to [`crate::write_store`] of a cold
+    /// build at the composed `(seed, θ)`.
+    ///
+    /// Crash behaviour (module docs): the journal is deleted after the
+    /// new manifest is renamed in, and a process killed between those
+    /// two steps is recovered by the next open, which skips the stale
+    /// records. A process killed while the writer swaps shards leaves no
+    /// manifest, and nothing here is fsynced, so a compaction is not
+    /// durable against power loss.
     pub fn compact(&self, shards: Option<usize>) -> Result<StoreSummary, EngineError> {
-        let mut st = self.write();
-        let shard_count = shards.unwrap_or_else(|| st.base.shards_total());
-        if st.overlay_is_empty() && shard_count == st.base.shards_total() {
-            // nothing journaled and no reshape requested: just make sure
-            // no stale journal file lingers
-            // lint:allow(no-blocking-under-lock) -- the remove must hold the write lock or it could race a concurrent top-up's append and delete a live record
+        loop {
+            // the pool is taken before the write lock, like every
+            // selection over the parts; it answers the θ it was taken
+            // at, so a top-up landing before the lock means taking it
+            // again (θ only grows: equal before and after ⇒ unchanged)
+            let theta = self.num_sampled();
+            let pool = self.pool_at_cap()?;
+            let mut st = self.write();
+            if st.num_sampled() != theta {
+                continue; // releases the guard
+            }
+            let shard_count = shards.unwrap_or_else(|| st.base.shards_total());
+            if st.overlay_is_empty() && shard_count == st.base.shards_total() {
+                // nothing journaled and no reshape requested: just make sure
+                // no stale journal file lingers
+                // lint:allow(no-blocking-under-lock) -- the remove must hold the write lock or it could race a concurrent top-up's append and delete a live record
+                journal::remove(&self.dir)?;
+                self.journal_records.set(0);
+                self.journal_bytes.set(0);
+                return Ok(StoreSummary {
+                    shards: st.base.shards_total(),
+                    total_sets: st.base.num_sets(),
+                    bytes_on_disk: st.base.bytes_on_disk(),
+                    stale_files_pruned: 0,
+                });
+            }
+            // lint:allow(no-blocking-under-lock) -- compact is stop-the-world by design: fold, write-then-rename, journal delete, and base re-open must be atomic with respect to every reader and top-up, so the write lock spans all of it
+            let mut parts = st.base.load_all()?;
+            parts.push(Arc::clone(&st.overlay));
+            let sets = walk::concat(&parts).validated(self.num_nodes, st.num_sampled())?;
+            let contents = StoreContents {
+                set_offsets: &sets.set_offsets,
+                members: &sets.members,
+                weights: &sets.weights,
+                num_nodes: self.num_nodes,
+                num_sampled: st.num_sampled(),
+                meta: self.meta,
+                pool,
+            };
+            // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): the new manifest must be renamed in before the journal is deleted, and both before any reader can observe the folded base
+            let summary = write_contents(contents, &self.dir, shard_count)?;
+            // the new manifest is renamed in — the journal is now redundant
+            // (not fsynced: a killed process is covered, a power loss is not)
+            // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): deleting the journal only after the new manifest is renamed in is what lets an open after a killed compaction skip its stale records
             journal::remove(&self.dir)?;
+            // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): the re-open must happen before any reader sees the swapped base
+            st.base = Arc::new(ShardedIndex::open_with_metrics(
+                &self.dir,
+                Arc::clone(&self.metrics),
+            )?);
+            st.overlay = Arc::new(Canonical::new().freeze(
+                self.num_nodes,
+                st.base.num_sampled(),
+                self.meta,
+            )?);
+            st.pool = None;
             self.journal_records.set(0);
             self.journal_bytes.set(0);
-            return Ok(StoreSummary {
-                shards: st.base.shards_total(),
-                total_sets: st.base.num_sets(),
-                bytes_on_disk: st.base.bytes_on_disk(),
-                stale_files_pruned: 0,
-            });
+            return Ok(summary);
         }
-        // lint:allow(no-blocking-under-lock) -- compact is stop-the-world by design: fold, write-then-rename, journal delete, and base re-open must be atomic with respect to every reader and top-up, so the write lock spans all of it
-        let mut parts = st.base.load_all()?;
-        parts.push(Arc::clone(&st.overlay));
-        let index = walk::concat(&parts).freeze(self.num_nodes, st.num_sampled(), self.meta)?;
-        // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): the new store must be durable before the journal is deleted, and both before any reader can observe the folded base
-        let summary = write_store(&index, &self.dir, shard_count)?;
-        // the new manifest is on disk — the journal is now redundant
-        // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): deleting the journal after the manifest is durable is the crash-recovery contract
-        journal::remove(&self.dir)?;
-        // lint:allow(no-blocking-under-lock) -- stop-the-world compact (see above): the re-open must happen before any reader sees the swapped base
-        st.base = Arc::new(ShardedIndex::open_with_metrics(
-            &self.dir,
-            Arc::clone(&self.metrics),
-        )?);
-        st.overlay =
-            Arc::new(Canonical::new().freeze(self.num_nodes, st.base.num_sampled(), self.meta)?);
-        st.pool = None;
-        self.journal_records.set(0);
-        self.journal_bytes.set(0);
-        Ok(summary)
     }
 }
 

@@ -17,6 +17,7 @@
 
 use cwelmax_engine::{EngineError, IndexMeta, RrIndex};
 use cwelmax_graph::NodeId;
+use cwelmax_rrset::RrCollection;
 use std::sync::Arc;
 
 /// Canonical `(set_offsets, members, weights)` parts under construction:
@@ -44,6 +45,30 @@ impl Canonical {
         self.weights.extend_from_slice(weights);
         self.set_offsets
             .extend(set_offsets[1..].iter().map(|&x| x + base));
+    }
+
+    /// Check the sets' structure exactly as [`Canonical::freeze`] does
+    /// (`RrCollection::from_parts`), without building postings — for a
+    /// writer that only needs the slices.
+    pub(crate) fn validated(
+        self,
+        num_nodes: usize,
+        num_sampled: usize,
+    ) -> Result<Canonical, EngineError> {
+        let (set_offsets, members, weights) = RrCollection::from_parts(
+            num_nodes,
+            self.set_offsets,
+            self.members,
+            self.weights,
+            num_sampled,
+        )
+        .map_err(EngineError::Corrupt)?
+        .into_parts();
+        Ok(Canonical {
+            set_offsets,
+            members,
+            weights,
+        })
     }
 
     /// Freeze into an index through the validating constructor, so an
